@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"protozoa/internal/cache"
 	"protozoa/internal/mem"
@@ -21,13 +22,22 @@ import (
 //     writebacks, stale copies, and mis-patched L2 data;
 //   - load integrity: every completed load observed the golden value.
 //
+// Every invariant is a property of one region, so a quiescent point
+// checks only the ending region and those marked dirty since the last
+// one: by stores and by the L1 handlers that install or upgrade data.
+// Evictions, invalidations and downgrades only remove holders, so this
+// equals a full scan. Every sweepInterval quiescent points all
+// resident regions are checked anyway, as a backstop.
+//
 // Violations are recorded (up to MaxViolations) rather than panicking,
 // so tests and the protozoa-verify tool can report them.
 type Checker struct {
 	sys    *System
 	golden map[mem.Addr]uint64
 
-	// Checks counts quiescent-point scans performed.
+	dirty []mem.RegionID // marked since the last quiescent point; unsorted, may repeat
+
+	// Checks counts quiescent points checked.
 	Checks int
 	// Loads counts load values validated.
 	Loads int
@@ -41,13 +51,21 @@ type Checker struct {
 	transcript string
 }
 
-// MaxViolations bounds the recorded diagnostics.
-const MaxViolations = 32
+const (
+	// MaxViolations bounds the recorded diagnostics.
+	MaxViolations = 32
+	// sweepInterval is the number of quiescent points between checks
+	// of every resident region.
+	sweepInterval = 1024
+)
 
 // NewChecker attaches a fresh checker to the system as its observer.
+// The L1s mark dirty regions on it directly, so another Observer may
+// wrap it.
 func NewChecker(sys *System) *Checker {
 	c := &Checker{sys: sys, golden: make(map[mem.Addr]uint64)}
 	sys.SetObserver(c)
+	sys.chk = c
 	return c
 }
 
@@ -107,6 +125,7 @@ func (c *Checker) fail(format string, args ...interface{}) {
 // OnStore implements Observer.
 func (c *Checker) OnStore(_ int, addr mem.Addr, val uint64) {
 	c.golden[addr] = val
+	c.mark(c.sys.geom.Region(addr))
 }
 
 // OnLoad implements Observer.
@@ -117,58 +136,90 @@ func (c *Checker) OnLoad(core int, addr mem.Addr, val uint64) {
 	}
 }
 
-// OnTxnEnd implements Observer.
-func (c *Checker) OnTxnEnd(mem.RegionID) {
+// OnTxnEnd implements Observer: check the ending region and every
+// region dirtied since the last quiescent point, in ascending order.
+func (c *Checker) OnTxnEnd(region mem.RegionID) {
 	c.Checks++
-	c.checkValues()
-	c.checkSWMR()
-}
-
-func (c *Checker) checkValues() {
-	g := c.sys.Geometry()
-	c.sys.ForEachCachedWord(func(core int, region mem.RegionID, w uint8, st cache.State, val uint64) {
-		addr := g.WordAddr(region, w)
-		if want := c.golden[addr]; val != want {
-			c.fail("core %d caches %#x=%#x in %v, golden %#x", core, addr, val, st, want)
-		}
-	})
-}
-
-func (c *Checker) checkSWMR() {
-	type key struct {
-		region mem.RegionID
-		w      uint8
+	c.mark(region)
+	if c.Checks%sweepInterval == 0 {
+		c.sweep()
 	}
-	wordWriters := make(map[key][]int)
-	wordHolders := make(map[key][]int)
-	regionWriters := make(map[mem.RegionID]map[int]bool)
-	regionHolders := make(map[mem.RegionID]map[int]bool)
+	c.compact()
+	for _, r := range c.dirty {
+		c.checkRegion(r)
+	}
+	c.dirty = c.dirty[:0]
+}
 
-	c.sys.ForEachCachedWord(func(core int, region mem.RegionID, w uint8, st cache.State, _ uint64) {
-		k := key{region, w}
-		wordHolders[k] = append(wordHolders[k], core)
-		if regionHolders[region] == nil {
-			regionHolders[region] = make(map[int]bool)
-		}
-		regionHolders[region][core] = true
-		if st == cache.Modified || st == cache.Exclusive {
-			wordWriters[k] = append(wordWriters[k], core)
-			if regionWriters[region] == nil {
-				regionWriters[region] = make(map[int]bool)
+// mark records that a region's L1 state or golden value may have
+// changed since the last quiescent point. Compacting a full set before
+// growing it keeps the set proportional to the distinct regions marked.
+func (c *Checker) mark(region mem.RegionID) {
+	n := len(c.dirty)
+	if n > 0 && c.dirty[n-1] == region {
+		return
+	}
+	if n == cap(c.dirty) && c.compact() > n/2 {
+		c.dirty = slices.Grow(c.dirty, n)
+	}
+	c.dirty = append(c.dirty, region)
+}
+
+// compact sorts the dirty set and drops repeats, returning its size.
+func (c *Checker) compact() int {
+	slices.Sort(c.dirty)
+	c.dirty = slices.Compact(c.dirty)
+	return len(c.dirty)
+}
+
+// sweep marks every resident region: the periodic full check that
+// backs up the dirty marking.
+func (c *Checker) sweep() {
+	for _, l1 := range c.sys.l1s {
+		l1.cache.Blocks(func(b *cache.Block) { c.mark(b.Region) })
+	}
+}
+
+// checkRegion verifies every invariant over one region's resident
+// blocks. Holders and writers are core bitmasks (Config.Cores <= 32),
+// so a clean check allocates nothing.
+func (c *Checker) checkRegion(region mem.RegionID) {
+	g := c.sys.geom
+	words := g.WordsPerRegion()
+	var golden [mem.MaxRegionWords]uint64
+	for w := 0; w < words; w++ {
+		golden[w] = c.golden[g.WordAddr(region, uint8(w))]
+	}
+	var wordHolders, wordWriters [mem.MaxRegionWords]coreSet
+	for _, l1 := range c.sys.l1s {
+		bit := coreSet(1) << l1.id
+		for _, b := range l1.cache.BlocksInRegion(region) {
+			writer := b.State == cache.Modified || b.State == cache.Exclusive
+			for w := b.R.Start; w <= b.R.End; w++ {
+				wordHolders[w] |= bit
+				if writer {
+					wordWriters[w] |= bit
+				}
+				if val := b.Word(w); val != golden[w] {
+					c.fail("core %d caches %#x=%#x in %v, golden %#x",
+						l1.id, g.WordAddr(region, w), val, b.State, golden[w])
+				}
 			}
-			regionWriters[region][core] = true
 		}
-	})
+	}
 
 	// Word-granularity SWMR holds for every protocol (region SWMR
 	// implies it): a written word has exactly one holder.
-	for k, writers := range wordWriters {
-		if len(writers) > 1 {
-			c.fail("word %d of region %d writable at cores %v", k.w, k.region, writers)
+	var regionHolders, regionWriters coreSet
+	for w, writers := range wordWriters[:words] {
+		regionHolders |= wordHolders[w]
+		regionWriters |= writers
+		if writers.count() > 1 {
+			c.fail("word %d of region %d writable at cores %v", w, region, writers)
 		}
-		if len(wordHolders[k]) > 1 {
+		if writers != 0 && wordHolders[w].count() > 1 {
 			c.fail("word %d of region %d written at core %d but cached at %v",
-				k.w, k.region, writers[0], wordHolders[k])
+				w, region, bits.TrailingZeros32(uint32(writers)), wordHolders[w])
 		}
 	}
 
@@ -176,27 +227,28 @@ func (c *Checker) checkSWMR() {
 	case MESI, ProtozoaSW:
 		// Region-granularity SWMR: a region with any written word has
 		// exactly one L1 caching anything of it.
-		for region, writers := range regionWriters {
-			if len(writers) > 0 && len(regionHolders[region]) > 1 {
-				c.fail("%v: region %d has writer(s) %v and holders %v",
-					c.sys.Protocol(), region, coreList(writers), coreList(regionHolders[region]))
-			}
+		if regionWriters != 0 && regionHolders.count() > 1 {
+			c.fail("%v: region %d has writer(s) %v and holders %v",
+				c.sys.Protocol(), region, regionWriters, regionHolders)
 		}
 	case ProtozoaSWMR:
 		// At most one writing core per region.
-		for region, writers := range regionWriters {
-			if len(writers) > 1 {
-				c.fail("SW+MR: region %d has %d writers %v", region, len(writers), coreList(writers))
-			}
+		if n := regionWriters.count(); n > 1 {
+			c.fail("SW+MR: region %d has %d writers %v", region, n, regionWriters)
 		}
 	}
 }
 
-func coreList(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// coreSet is a bitmask of core IDs. It prints as the ascending ID list
+// ("[0 3]") the violation messages use.
+type coreSet uint32
+
+func (s coreSet) count() int { return bits.OnesCount32(uint32(s)) }
+
+func (s coreSet) String() string {
+	ids := make([]int, 0, s.count())
+	for m := uint32(s); m != 0; m &= m - 1 {
+		ids = append(ids, bits.TrailingZeros32(m))
 	}
-	sort.Ints(out)
-	return out
+	return fmt.Sprint(ids)
 }

@@ -5,9 +5,12 @@ package core
 // the stress suite mean something).
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"protozoa/internal/cache"
+	"protozoa/internal/mem"
 	"protozoa/internal/trace"
 )
 
@@ -59,13 +62,29 @@ func TestCheckerDetectsStaleCachedValue(t *testing.T) {
 	}
 }
 
-func TestCheckerDetectsSWMRViolationShape(t *testing.T) {
-	// Force a fake multi-writer situation by running MW (where two
-	// cores legitimately hold disjoint words M) and then asking the
-	// checker to apply the stricter region rule: reuse the internal
-	// walk by constructing a Protozoa-SW system whose caches we seed by
-	// running MW traffic is not possible; instead verify MaxViolations
-	// capping on the load path.
+// TestCheckerStoreMarksRegion: a store's new golden value is checked
+// against every cached copy at the next quiescent point, whichever
+// region's transaction ends there.
+func TestCheckerStoreMarksRegion(t *testing.T) {
+	sys, err := NewSystem(testConfig(MESI, 1), []trace.Stream{
+		trace.NewSliceStream([]trace.Access{ld(0x40)}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chk := NewChecker(sys)
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	chk.OnStore(0, 0x40, 999)
+	chk.OnTxnEnd(7)
+	want := []string{"core 0 caches 0x40=0x0 in E, golden 0x3e7"}
+	if got := chk.Violations(); !slices.Equal(got, want) {
+		t.Errorf("violations %q, want %q", got, want)
+	}
+}
+
+func TestCheckerCapsViolations(t *testing.T) {
 	cfg := testConfig(MESI, 1)
 	sys, err := NewSystem(cfg, []trace.Stream{trace.NewSliceStream(nil)})
 	if err != nil {
@@ -78,6 +97,97 @@ func TestCheckerDetectsSWMRViolationShape(t *testing.T) {
 	}
 	if got := len(chk.Violations()); got != MaxViolations {
 		t.Errorf("violations = %d, want capped at %d", got, MaxViolations)
+	}
+}
+
+// TestCheckerInvariantBranches drives every invariant branch of the
+// per-region check: L1 block states are set directly, the region is
+// marked dirty, and a transaction of another region ends. Each case
+// must report exactly its violations, in order.
+func TestCheckerInvariantBranches(t *testing.T) {
+	const region = 3
+	type holding struct {
+		core       int
+		start, end uint8
+		st         cache.State
+	}
+	cases := []struct {
+		name  string
+		p     Protocol
+		hold  []holding
+		stale bool // core 0's first word differs from golden
+		want  []string
+	}{
+		{
+			name: "two word writers", p: ProtozoaMW,
+			hold: []holding{{0, 2, 2, cache.Modified}, {1, 2, 2, cache.Exclusive}},
+			want: []string{
+				"word 2 of region 3 writable at cores [0 1]",
+				"word 2 of region 3 written at core 0 but cached at [0 1]",
+			},
+		},
+		{
+			name: "writer and reader of a word", p: ProtozoaMW,
+			hold: []holding{{0, 0, 7, cache.Shared}, {1, 4, 4, cache.Modified}},
+			want: []string{"word 4 of region 3 written at core 1 but cached at [0 1]"},
+		},
+		{
+			name: "region SWMR MESI", p: MESI,
+			hold: []holding{{0, 0, 3, cache.Modified}, {1, 4, 7, cache.Shared}},
+			want: []string{"MESI: region 3 has writer(s) [0] and holders [0 1]"},
+		},
+		{
+			name: "region SWMR Protozoa-SW", p: ProtozoaSW,
+			hold: []holding{{0, 0, 3, cache.Shared}, {1, 4, 7, cache.Exclusive}},
+			want: []string{"Protozoa-SW: region 3 has writer(s) [1] and holders [0 1]"},
+		},
+		{
+			name: "two region writers SW+MR", p: ProtozoaSWMR,
+			hold: []holding{{0, 0, 3, cache.Modified}, {1, 4, 7, cache.Modified}},
+			want: []string{"SW+MR: region 3 has 2 writers [0 1]"},
+		},
+		{
+			name: "stale cached word", p: ProtozoaMW,
+			hold:  []holding{{1, 0, 7, cache.Shared}},
+			stale: true,
+			want:  []string{"core 1 caches 0xc0=0x0 in S, golden 0x5"},
+		},
+		{
+			name: "disjoint MW writers", p: ProtozoaMW,
+			hold: []holding{{0, 0, 3, cache.Modified}, {1, 4, 7, cache.Modified}},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := NewSystem(testConfig(tc.p, 2), []trace.Stream{
+				trace.NewSliceStream(nil), trace.NewSliceStream(nil),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			chk := NewChecker(sys)
+			for _, h := range tc.hold {
+				r := mem.Range{Start: h.start, End: h.end}
+				sys.l1s[h.core].cache.Insert(cache.Block{
+					Region: region, R: r, State: h.st, Data: make([]uint64, r.Words()),
+				})
+			}
+			if tc.stale {
+				chk.golden[regAddr(region)] = 5
+			}
+			chk.mark(region)
+			chk.OnTxnEnd(region + 1)
+			if got := chk.Violations(); !slices.Equal(got, tc.want) {
+				t.Errorf("violations:\n got %q\nwant %q", got, tc.want)
+			}
+			// The check cleared the dirty set: the next quiescent
+			// point of another region does not revisit region 3.
+			n := len(chk.Violations())
+			chk.OnTxnEnd(region + 1)
+			if len(chk.Violations()) != n {
+				t.Errorf("clean region re-checked: %q", chk.Violations()[n:])
+			}
+		})
 	}
 }
 

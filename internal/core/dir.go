@@ -758,11 +758,6 @@ func (d *dirSlice) popQueue(e *dirEntry) {
 // loadPayload fills a data reply with the requested words from the L2
 // block.
 func (d *dirSlice) loadPayload(e *dirEntry, reply *Msg) {
-	for w := reply.R.Start; ; w++ {
-		reply.Words[w] = e.data[w]
-		if w == reply.R.End {
-			break
-		}
-	}
+	copy(reply.Words[reply.R.Start:reply.R.End+1], e.data[reply.R.Start:])
 	reply.Valid = reply.R.Bitmap()
 }

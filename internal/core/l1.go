@@ -105,11 +105,8 @@ func (l *l1Ctrl) markDeath(b *cache.Block, cause deathCause) {
 		wc = new([mem.MaxRegionWords]deathCause)
 		l.wordCause[b.Region] = wc
 	}
-	for w := b.R.Start; ; w++ {
+	for w := b.R.Start; w <= b.R.End; w++ {
 		wc[w] = cause
-		if w == b.R.End {
-			break
-		}
 	}
 }
 
@@ -236,8 +233,12 @@ var nopAudit = func(string) {}
 // auditFrom snapshots the region state and returns a closure that
 // records the transition once the event has been applied — to the
 // transition-audit table, the flight recorder, or both. A no-op when
-// neither is enabled.
+// neither is enabled. It also marks the region dirty for an attached
+// Checker: every handler that installs or upgrades data passes here.
 func (l *l1Ctrl) auditFrom(region mem.RegionID) func(event string) {
+	if l.sys.chk != nil {
+		l.sys.chk.mark(region)
+	}
 	if l.tl.transitions == nil && l.tl.flight == nil {
 		return nopAudit
 	}
@@ -291,14 +292,18 @@ func (l *l1Ctrl) startMiss(ms mshr, t MsgType) {
 			Region: uint64(ms.region), R: ms.want,
 		})
 	}
-	m := l.tl.newMsg()
-	m.Type = t
-	m.Src = l.id
-	m.Dst = l.sys.home(ms.region)
-	m.Region = ms.region
+	m := l.newMsg(t, l.sys.home(ms.region), ms.region)
 	m.R = ms.want
 	m.Requester = l.id
 	l.tl.send(m)
+}
+
+// newMsg takes a pooled message of type t from this L1 to dst about
+// the region.
+func (l *l1Ctrl) newMsg(t MsgType, dst int, region mem.RegionID) *Msg {
+	m := l.tl.newMsg()
+	m.Type, m.Src, m.Dst, m.Region = t, l.id, dst, region
+	return m
 }
 
 // retireMiss records the completed miss's latency. The breakdown's
@@ -364,12 +369,7 @@ func (l *l1Ctrl) fill(m *Msg) {
 		FetchPC: ms.pc, FetchWord: ms.word,
 		Data: make([]uint64, m.R.Words()),
 	}
-	for w := m.R.Start; ; w++ {
-		blk.Data[w-m.R.Start] = m.Words[w]
-		if w == m.R.End {
-			break
-		}
-	}
+	copy(blk.Data, m.Words[m.R.Start:])
 	l.tl.st.RecordFill(m.R.Words())
 	l.tl.st.DataWordsIn += uint64(m.PayloadWords())
 	if l.tl.attrib != nil {
@@ -397,12 +397,7 @@ func (l *l1Ctrl) fill(m *Msg) {
 // sendUnblock reopens the region at the directory once a response has
 // been installed.
 func (l *l1Ctrl) sendUnblock(region mem.RegionID) {
-	m := l.tl.newMsg()
-	m.Type = MsgUnblock
-	m.Src = l.id
-	m.Dst = l.sys.home(region)
-	m.Region = region
-	l.tl.send(m)
+	l.tl.send(l.newMsg(MsgUnblock, l.sys.home(region), region))
 }
 
 // grant completes an upgrade. If a racing remote write invalidated the
@@ -422,11 +417,7 @@ func (l *l1Ctrl) grant(m *Msg) {
 		l.sendUnblock(m.Region)
 		ms.upgrade = false
 		ms.want = l.cache.TrimFill(ms.region, ms.upgradeR, ms.word)
-		retry := l.tl.newMsg()
-		retry.Type = MsgGetX
-		retry.Src = l.id
-		retry.Dst = l.sys.home(ms.region)
-		retry.Region = ms.region
+		retry := l.newMsg(MsgGetX, l.sys.home(ms.region), ms.region)
 		retry.R = ms.want
 		retry.Requester = l.id
 		l.tl.send(retry)
@@ -442,6 +433,16 @@ func (l *l1Ctrl) grant(m *Msg) {
 	done.complete(val)
 }
 
+// probeFault, nonzero only in the checker's mutation tests, injects one
+// known protocol bug into the probe handlers.
+var probeFault uint8
+
+const (
+	faultFwdGetSKeepsExclusive = iota + 1 // FwdGetS leaves an Exclusive block Exclusive
+	faultFwdGetSDropsData                 // FwdGetS downgrades M without carrying its data
+	faultInvKeepsCopy                     // INV is acknowledged but the copy stays resident
+)
+
 // probeGetS handles a forwarded read probe: the L1 is (possibly) an
 // owner and must surrender write permission on the requested words.
 // MESI and Protozoa-SW downgrade the whole region (region-granularity
@@ -455,11 +456,7 @@ func (l *l1Ctrl) probeGetS(m *Msg) {
 		l.nack(m)
 		return
 	}
-	reply := l.tl.newMsg()
-	reply.Type = MsgAck
-	reply.Src = l.id
-	reply.Dst = m.Src
-	reply.Region = m.Region
+	reply := l.newMsg(MsgAck, m.Src, m.Region)
 	reply.TxnID = m.TxnID
 	reply.ForwardedData = m.Direct && l.tryDirectForward(m, MsgData)
 	scopeOverlap := l.overlapCoherence()
@@ -471,10 +468,14 @@ func (l *l1Ctrl) probeGetS(m *Msg) {
 		processed++
 		switch b.State {
 		case cache.Modified:
-			l.carry(reply, b)
+			if probeFault != faultFwdGetSDropsData {
+				l.carry(reply, b)
+			}
 			b.State = cache.Shared
 		case cache.Exclusive:
-			b.State = cache.Shared
+			if probeFault != faultFwdGetSKeepsExclusive {
+				b.State = cache.Shared
+			}
 		}
 	}
 	reply.StillSharer = true
@@ -496,20 +497,19 @@ func (l *l1Ctrl) probeInval(m *Msg) {
 		l.nack(m)
 		return
 	}
-	reply := l.tl.newMsg()
-	reply.Type = MsgAck
-	reply.Src = l.id
-	reply.Dst = m.Src
-	reply.Region = m.Region
+	reply := l.newMsg(MsgAck, m.Src, m.Region)
 	reply.TxnID = m.TxnID
 	if m.Type == MsgFwdGetX {
 		// Capture the words before they are extracted below.
 		reply.ForwardedData = m.Direct && l.tryDirectForward(m, MsgDataM)
 	}
 	var extracted []cache.Block
-	if l.overlapCoherence() {
+	switch {
+	case m.Type == MsgInv && probeFault == faultInvKeepsCopy:
+		// Injected bug: the copy survives its invalidation.
+	case l.overlapCoherence():
 		extracted = l.cache.ExtractOverlapping(m.Region, m.R)
-	} else {
+	default:
 		extracted = l.cache.ExtractRegion(m.Region)
 	}
 
@@ -575,12 +575,7 @@ func (l *l1Ctrl) anyDirtyOrExclusive(region mem.RegionID) bool {
 // the outgoing payload bytes as used or unused.
 func (l *l1Ctrl) carry(reply *Msg, b *cache.Block) {
 	reply.Type = MsgWback
-	for w := b.R.Start; ; w++ {
-		reply.Words[w] = b.Word(w)
-		if w == b.R.End {
-			break
-		}
-	}
+	copy(reply.Words[b.R.Start:], b.Data)
 	reply.Valid = reply.Valid.Union(b.R.Bitmap())
 	reply.Dirty = reply.Dirty.Union(b.R.Bitmap())
 	l.classifyWriteback(b)
@@ -618,26 +613,16 @@ func (l *l1Ctrl) finishReply(reply *Msg, processed int) {
 func (l *l1Ctrl) tryDirectForward(m *Msg, grant MsgType) bool {
 	// Probe coverage first, so no message is taken from the pool on the
 	// fall-back-to-4-hop path.
-	for w := m.R.Start; ; w++ {
+	for w := m.R.Start; w <= m.R.End; w++ {
 		if l.cache.Peek(m.Region, w) == nil {
 			return false
 		}
-		if w == m.R.End {
-			break
-		}
 	}
-	data := l.tl.newMsg()
-	data.Type = grant
-	data.Src = l.id
-	data.Dst = m.Requester
-	data.Region = m.Region
+	data := l.newMsg(grant, m.Requester, m.Region)
 	data.R = m.R
 	data.Valid = m.R.Bitmap()
-	for w := m.R.Start; ; w++ {
+	for w := m.R.Start; w <= m.R.End; w++ {
 		data.Words[w] = l.cache.Peek(m.Region, w).Word(w)
-		if w == m.R.End {
-			break
-		}
 	}
 	l.tl.st.DirectForwards++
 	l.tl.send(data)
@@ -647,11 +632,7 @@ func (l *l1Ctrl) tryDirectForward(m *Msg, grant MsgType) bool {
 // nack answers a probe when nothing of the region is resident: the
 // stale-directory-entry case after a silent clean eviction.
 func (l *l1Ctrl) nack(probe *Msg) {
-	m := l.tl.newMsg()
-	m.Type = MsgNack
-	m.Src = l.id
-	m.Dst = probe.Src
-	m.Region = probe.Region
+	m := l.newMsg(MsgNack, probe.Src, probe.Region)
 	m.TxnID = probe.TxnID
 	l.tl.send(m)
 }
@@ -672,32 +653,17 @@ func (l *l1Ctrl) handleVictims(victims []cache.Block) {
 			// replacement-notification discipline). Precise directories
 			// keep the paper's silent-drop-then-NACK behaviour.
 			if l.sys.cfg.Directory == DirBloom && !l.cache.HasRegion(v.Region) {
-				note := l.tl.newMsg()
-				note.Type = MsgWbackLast
-				note.Src = l.id
-				note.Dst = l.sys.home(v.Region)
-				note.Region = v.Region
-				l.tl.send(note)
+				l.tl.send(l.newMsg(MsgWbackLast, l.sys.home(v.Region), v.Region))
 			}
 			continue
 		}
-		wb := l.tl.newMsg()
-		wb.Src = l.id
-		wb.Dst = l.sys.home(v.Region)
-		wb.Region = v.Region
+		wb := l.newMsg(MsgWback, l.sys.home(v.Region), v.Region)
 		wb.Valid = v.R.Bitmap()
 		wb.Dirty = v.R.Bitmap()
-		for w := v.R.Start; ; w++ {
-			wb.Words[w] = v.Word(w)
-			if w == v.R.End {
-				break
-			}
-		}
+		copy(wb.Words[v.R.Start:], v.Data)
 		wb.StillSharer = l.cache.HasRegion(v.Region)
 		wb.StillOwner = l.anyDirtyOrExclusive(v.Region)
-		if wb.StillSharer {
-			wb.Type = MsgWback
-		} else {
+		if !wb.StillSharer {
 			wb.Type = MsgWbackLast
 		}
 		l.tl.st.Writebacks++

@@ -363,7 +363,7 @@ func (s *System) pdesCheck() error {
 	if W := s.mesh.Lookahead(); W < 1 {
 		return fmt.Errorf("core: parallel run needs positive NoC lookahead, got %d", W)
 	}
-	if s.obs != nil {
+	if s.obs != nil || s.chk != nil {
 		return fmt.Errorf("core: workers > 0 is incompatible with a correctness observer (its invariant checks need one global event order); run with workers 0")
 	}
 	if s.cfg.Noc.ModelContention {

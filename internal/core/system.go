@@ -137,13 +137,14 @@ type System struct {
 	cpus []*cpu
 
 	obs Observer
+	chk *Checker // the attached Checker, marked dirty by the L1s directly
 
 	// tiles are the PDES partitions (one per core: core + L1 + L2/dir
 	// slice + router). In the legacy single-queue mode every tile
 	// aliases the shared engine, stats, and message pool, so the
 	// controllers always account through their tile and never branch.
 	tiles []*tile
-	pdes  bool         // Workers > 0: run the window loop instead of Engine.Run
+	pdes  bool // Workers > 0: run the window loop instead of Engine.Run
 	// Observability hooks (internal/obs). All nil/zero unless the
 	// corresponding Enable* method ran; every use site guards with a
 	// single nil check so the disabled path costs one branch.
@@ -232,10 +233,10 @@ type outMsg struct {
 // tiles alias the machine-wide engine, stats, and pool, so controller
 // code is identical in both modes.
 type tile struct {
-	id  int
-	sys *System
-	eng *engine.Engine
-	st  *stats.Stats
+	id   int
+	sys  *System
+	eng  *engine.Engine
+	st   *stats.Stats
 	pool *msgPool
 
 	// Per-tile observability shards (nil/shared depending on mode; set
@@ -586,22 +587,6 @@ func (s *System) flushResidual() {
 	for _, l1 := range s.l1s {
 		l1.cache.Blocks(func(b *cache.Block) {
 			l1.classifyDeath(b)
-		})
-	}
-}
-
-// ForEachCachedWord walks every word resident in any L1 — the hook the
-// SWMR invariant checker uses.
-func (s *System) ForEachCachedWord(fn func(core int, region mem.RegionID, w uint8, st cache.State, val uint64)) {
-	for _, l1 := range s.l1s {
-		core := l1.id
-		l1.cache.Blocks(func(b *cache.Block) {
-			for w := b.R.Start; ; w++ {
-				fn(core, b.Region, w, b.State, b.Word(w))
-				if w == b.R.End {
-					break
-				}
-			}
 		})
 	}
 }
