@@ -91,14 +91,18 @@ obs-smoke: trace-smoke
 		{ print "obs-smoke: bad metrics line: " $$0; exit 1 } }' $$d/metrics.prom; \
 	echo "obs-smoke: live /metrics served valid Prometheus text mid-run"
 
-# cache-smoke: the persistent result cache end to end, in two acts.
+# cache-smoke: the persistent result cache end to end, in three acts.
 # Warm: a cold sweep populates a fresh -cache-dir, then the identical
 # grid re-runs against it — every cell must come back cached and the
 # CSV must be byte-identical. Resume: a second cold sweep into a fresh
 # directory is killed once its first entries land on disk, then re-run
 # — the interrupted grid must finish with at least one cell resumed
-# from the cache and the same byte-identical CSV.
+# from the cache and the same byte-identical CSV. Report: protozoa-report
+# runs cold, then warm, against one fresh -cache-dir and the two reports
+# must be byte-identical; its top-offenders table is the only CLI
+# output that reads per-region attribution state restored from a payload.
 CACHE_SMOKE_GRID = -workloads linear-regression,barnes -protocols all -scale 8
+CACHE_SMOKE_REPORT = -workloads linear-regression,barnes -cores 4 -scale 1
 
 cache-smoke:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
@@ -136,7 +140,20 @@ cache-smoke:
 	grep -Eq '8 cells \(0 failed, [1-8] cached\)' $$d/resume.err \
 		|| { echo "cache-smoke: resume run reused nothing:"; \
 		     tail -1 $$d/resume.err; exit 1; }; \
-	echo "cache-smoke: kill-mid-grid resume reused persisted cells, CSV byte-identical"
+	echo "cache-smoke: kill-mid-grid resume reused persisted cells, CSV byte-identical"; \
+	go build -o $$d/protozoa-report ./cmd/protozoa-report; \
+	$$d/protozoa-report $(CACHE_SMOKE_REPORT) -cache-dir $$d/cache-report \
+		> $$d/report-cold.txt 2>/dev/null; \
+	$$d/protozoa-report $(CACHE_SMOKE_REPORT) -cache-dir $$d/cache-report \
+		-progress > $$d/report-warm.txt 2>$$d/report-warm.err; \
+	cmp $$d/report-cold.txt $$d/report-warm.txt \
+		|| { echo "cache-smoke: warm report differs from cold"; exit 1; }; \
+	n=$$(grep -c ' cells (' $$d/report-warm.err); \
+	c=$$(grep -c '8 cells (0 failed, 8 cached)' $$d/report-warm.err); \
+	[ $$n -ge 1 ] && [ $$n -eq $$c ] \
+		|| { echo "cache-smoke: warm report re-simulated cells:"; \
+		     grep ' cells (' $$d/report-warm.err; exit 1; }; \
+	echo "cache-smoke: warm report 100% cached, byte-identical to cold"
 
 # bench runs the simulator throughput benchmark with allocation
 # accounting in a benchstat-friendly shape (-count 5). Compare against

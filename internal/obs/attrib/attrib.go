@@ -166,12 +166,17 @@ func (t *Tracker) state(id mem.RegionID) *regionState {
 			foot:      make([]mem.Bitmap, 2*t.cores),
 			invByCore: make([]uint32, t.cores),
 		}
-		t.regions[id] = r
-		t.markDirty(r)
-		t.patternCounts[Untouched]++
+		t.add(r)
 	}
 	t.last = r
 	return r
+}
+
+// add registers a new region, dirty so the next snapshot classifies it.
+func (t *Tracker) add(r *regionState) {
+	t.regions[r.id] = r
+	t.markDirty(r)
+	t.patternCounts[Untouched]++
 }
 
 func (t *Tracker) markDirty(r *regionState) {

@@ -1,8 +1,11 @@
 package attrib
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -38,18 +41,28 @@ func buildTracker() *Tracker {
 	return t
 }
 
+// encodeDump is the binary encoding the result cache persists.
+func encodeDump(t *testing.T, d *Dump) []byte {
+	t.Helper()
+	b, err := d.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestDumpRoundTrip(t *testing.T) {
 	orig := buildTracker()
 	d := orig.Dump()
 
-	// Through JSON, as the result cache stores it.
-	enc, err := json.Marshal(d)
-	if err != nil {
+	// Through the binary codec, as the result cache stores it:
+	// decode∘encode is the identity.
+	var decoded Dump
+	if err := decoded.UnmarshalBinary(encodeDump(t, d)); err != nil {
 		t.Fatal(err)
 	}
-	var decoded Dump
-	if err := json.Unmarshal(enc, &decoded); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(&decoded, d) {
+		t.Fatalf("decoded dump differs:\n got %+v\nwant %+v", decoded, *d)
 	}
 	restored, err := FromDump(&decoded)
 	if err != nil {
@@ -76,27 +89,103 @@ func TestDumpRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDumpCanonical pins that dumping the same logical state twice
+// TestDumpCanonical pins that encoding the same logical state twice
 // yields identical bytes — required for the cache's byte-identical
 // warm-output contract.
 func TestDumpCanonical(t *testing.T) {
-	a, _ := json.Marshal(buildTracker().Dump())
-	b, _ := json.Marshal(buildTracker().Dump())
-	if string(a) != string(b) {
+	a := encodeDump(t, buildTracker().Dump())
+	b := encodeDump(t, buildTracker().Dump())
+	if !bytes.Equal(a, b) {
 		t.Fatal("dump encoding is not canonical")
 	}
-	// And dump-of-restored matches dump-of-original.
+	// And the encoding of the restored tracker matches the original's.
 	var d Dump
-	if err := json.Unmarshal(a, &d); err != nil {
+	if err := d.UnmarshalBinary(a); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := FromDump(&d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := json.Marshal(restored.Dump())
-	if string(a) != string(c) {
-		t.Fatal("restored tracker dumps differently from original")
+	if c := encodeDump(t, restored.Dump()); !bytes.Equal(a, c) {
+		t.Fatal("restored tracker encodes differently from original")
+	}
+}
+
+// TestDumpCodecKeepsNilInvByCore pins the distinction the encoding
+// carries for InvByCore: nil (no core-attributed invalidation), present
+// but empty, and present with entries all survive the round trip.
+func TestDumpCodecKeepsNilInvByCore(t *testing.T) {
+	d := buildTracker().Dump()
+	d.Regions[0].InvByCore = nil
+	d.Regions[1].InvByCore = []uint32{}
+	d.Regions[2].InvByCore = []uint32{0, 7, 0, 1 << 31}
+	var got Dump
+	if err := got.UnmarshalBinary(encodeDump(t, d)); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range d.Regions[:3] {
+		if g := got.Regions[i].InvByCore; !reflect.DeepEqual(g, want.InvByCore) {
+			t.Fatalf("region %d InvByCore = %#v, want %#v", i, g, want.InvByCore)
+		}
+	}
+}
+
+// TestDumpDecodeRejectsMalformed feeds the decoder bytes no encoder
+// wrote: every strict prefix of a valid encoding, trailing garbage,
+// counts the input cannot hold, and out-of-range values. Each must
+// fail with an error and leave the dump zeroed.
+func TestDumpDecodeRejectsMalformed(t *testing.T) {
+	valid := encodeDump(t, buildTracker().Dump())
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	header := uv(2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0) // 2 cores, zero totals
+	counters := uv(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	region := func(foot0 uint64, invByCore ...uint64) []byte {
+		b := append(append([]byte(nil), header...), uv(1, 1, 4, foot0, 0, 0, 0)...)
+		b = append(b, counters...)
+		return append(b, uv(invByCore...)...)
+	}
+	// The one-region dump these cases distort decodes cleanly.
+	var d Dump
+	if err := d.UnmarshalBinary(append(region(1<<16-1, 3, 0, 1<<32-1), 0)); err != nil {
+		t.Fatalf("well-formed one-region dump: %v", err)
+	}
+	cases := map[string]struct {
+		b    []byte
+		want string // error substring; "" accepts any error
+	}{
+		"empty":              {nil, "truncated"},
+		"trailing garbage":   {append(append([]byte(nil), valid...), 0), "trailing"},
+		"overlong varint":    {bytes.Repeat([]byte{0xff}, 11), "truncated or overlong"},
+		"huge core count":    {uv(1 << 40), "exceeds"},
+		"huge slice count":   {uv(2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1<<60), "exceeds the"},
+		"huge region count":  {append(append([]byte(nil), header...), uv(1<<60)...), "exceeds the"},
+		"bitmap overflow":    {append(region(1<<16, 3, 0, 1<<32-1), 0), "exceeds 65535"},
+		"invByCore overflow": {append(region(0, 3, 0, 1<<32), 0), "exceeds 4294967295"},
+	}
+	for n := 0; n < len(valid); n++ {
+		cases[fmt.Sprintf("prefix %d", n)] = struct {
+			b    []byte
+			want string
+		}{valid[:n], ""}
+	}
+	for name, tc := range cases {
+		d := Dump{Cores: 99}
+		err := d.UnmarshalBinary(tc.b)
+		switch {
+		case err == nil:
+			t.Errorf("%s: decoded without error", name)
+		case !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: err = %v, want it to mention %q", name, err, tc.want)
+		case !reflect.DeepEqual(d, Dump{}):
+			t.Errorf("%s: failed decode left %+v", name, d)
+		}
 	}
 }
 
@@ -108,5 +197,21 @@ func TestFromDumpValidates(t *testing.T) {
 	bad.Regions[0].Foot = bad.Regions[0].Foot[:1]
 	if _, err := FromDump(bad); err == nil {
 		t.Fatal("short footprint accepted")
+	}
+	for _, short := range []func(d *Dump){
+		func(d *Dump) { d.InvByOffender = d.InvByOffender[:1] },
+		func(d *Dump) { d.InvByVictim = append(d.InvByVictim, 0) },
+		func(d *Dump) { d.UpgradesByCore = nil },
+	} {
+		bad = buildTracker().Dump()
+		short(bad)
+		if _, err := FromDump(bad); err == nil || !strings.Contains(err.Error(), "entries, want 4") {
+			t.Fatalf("per-core slice of the wrong length: err = %v", err)
+		}
+	}
+	bad = buildTracker().Dump()
+	bad.Regions[1].ID = bad.Regions[0].ID
+	if _, err := FromDump(bad); err == nil || !strings.Contains(err.Error(), "appears twice") {
+		t.Fatalf("duplicate region: err = %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 
@@ -9,44 +10,85 @@ import (
 	"protozoa/internal/stats"
 )
 
-// cachedResult is the on-disk shape of one cell's outcome. Every field
-// it stores is integral (stats counters, attribution word counts,
-// latency histogram buckets), so a JSON round-trip reproduces the
+// A cell's cached payload is binary:
+//
+//	uvarint len(envelope) | envelope | marker | dump
+//
+// The envelope is the JSON cachedResult (a few KB). The marker byte is
+// 0 when the cell carried no attribution tracker — the payload then ends
+// — and 1 when the rest of the payload is the tracker's attrib.Dump in
+// its binary encoding (Dump.AppendBinary), which is the bulk of a
+// payload. The dump section is validated twice on the way back:
+// UnmarshalBinary rejects malformed bytes, FromDump rejects a dump no
+// tracker could have produced.
+
+// cachedResult is the envelope of one cell's payload: everything but
+// the attribution dump. Every field is integral (stats counters,
+// latency histogram buckets), so the JSON round trip reproduces the
 // simulated values exactly — which is what lets a warm run render
-// byte-identical CSV/report output. Schema changes are caught by the
-// key's payload fingerprint, not by versioning the payload itself.
+// byte-identical CSV/report output. A field added to any of these types
+// changes the key's payload fingerprint; a change to the payload layout
+// itself must bump resultcache.SchemaVersion, since nothing in the
+// payload records its format.
 type cachedResult struct {
 	Events  uint64
 	Stats   *stats.Stats
 	Latency *obs.LatencyBreakdown `json:",omitempty"`
-	Attrib  *attrib.Dump          `json:",omitempty"`
 	Extra   []byte                `json:",omitempty"`
 }
 
 // encodeResult serializes a successful result for the cache.
 func encodeResult(r *Result) ([]byte, error) {
-	cr := cachedResult{
+	env, err := json.Marshal(cachedResult{
 		Events:  r.Events,
 		Stats:   r.Stats,
 		Latency: r.Latency,
 		Extra:   r.Extra,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if r.Attrib != nil {
-		cr.Attrib = r.Attrib.Dump()
+	b := binary.AppendUvarint(nil, uint64(len(env)))
+	b = append(b, env...)
+	if r.Attrib == nil {
+		return append(b, 0), nil
 	}
-	return json.Marshal(cr)
+	return r.Attrib.Dump().AppendBinary(append(b, 1))
 }
 
 // decodeResult reconstructs a result for cell c from a cached payload.
-// A payload missing an observation the cell requires is an error — the
-// caller treats it as a miss and re-simulates.
+// A malformed payload, or one missing an observation the cell requires,
+// is an error — the caller treats it as a miss and re-simulates.
 func decodeResult(i int, c Cell, payload []byte) (Result, error) {
+	n, k := binary.Uvarint(payload)
+	if k <= 0 || n >= uint64(len(payload)-k) {
+		return Result{}, fmt.Errorf("cached result has a bad envelope length")
+	}
+	env, rest := payload[k:k+int(n)], payload[k+int(n):]
 	var cr cachedResult
-	if err := json.Unmarshal(payload, &cr); err != nil {
+	if err := json.Unmarshal(env, &cr); err != nil {
 		return Result{}, fmt.Errorf("decode cached result: %w", err)
 	}
 	if cr.Stats == nil {
 		return Result{}, fmt.Errorf("cached result has no stats")
+	}
+	var tr *attrib.Tracker
+	switch rest[0] {
+	case 0:
+		if len(rest) > 1 {
+			return Result{}, fmt.Errorf("cached result has %d trailing bytes", len(rest)-1)
+		}
+	case 1:
+		var d attrib.Dump
+		err := d.UnmarshalBinary(rest[1:])
+		if err == nil {
+			tr, err = attrib.FromDump(&d)
+		}
+		if err != nil {
+			return Result{}, err
+		}
+	default:
+		return Result{}, fmt.Errorf("cached result has a bad attribution marker %#x", rest[0])
 	}
 	r := Result{
 		Index:  i,
@@ -57,12 +99,8 @@ func decodeResult(i int, c Cell, payload []byte) (Result, error) {
 		Cached: true,
 	}
 	if c.NeedAttrib {
-		if cr.Attrib == nil {
+		if tr == nil {
 			return Result{}, fmt.Errorf("cached result lacks attribution")
-		}
-		tr, err := attrib.FromDump(cr.Attrib)
-		if err != nil {
-			return Result{}, err
 		}
 		r.Attrib = tr
 	}
