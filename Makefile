@@ -4,9 +4,9 @@
 # a 1-iteration benchmark smoke so throughput regressions that crash or
 # deadlock are caught before they reach a real benchmarking session,
 # the observability smoke (trace + metrics JSON must parse, live
-# metrics endpoint must serve Prometheus text during a run), and the
-# PDES determinism smoke (parallel window-loop results byte-identical
-# across worker counts).
+# metrics endpoint must serve Prometheus text during a run), the
+# flight-recorder smoke (two recordings of one run byte-identical and
+# inspect-clean), and the result-cache smoke.
 verify:
 	go build ./...
 	go vet ./...
@@ -16,7 +16,6 @@ verify:
 	go test -race ./internal/obs ./internal/obs/attrib ./internal/obs/selfprof
 	go test -run '^$$' -bench SimulatorThroughput -benchtime 1x .
 	$(MAKE) obs-smoke
-	$(MAKE) pdes-smoke
 	$(MAKE) flight-smoke
 	$(MAKE) cache-smoke
 
@@ -24,37 +23,23 @@ verify:
 # removed on exit (success or failure), so concurrent invocations never
 # trample each other and nothing accumulates in /tmp.
 
-# pdes-smoke: one workload under the parallel window loop at 1 and 4
-# workers; the full JSON stats dump must be byte-identical (the
-# determinism contract -workers rests on, end to end through the CLI).
-pdes-smoke:
-	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
-	go build -o $$d/protozoa-sim ./cmd/protozoa-sim; \
-	$$d/protozoa-sim -workload barnes -protocol mw -scale 1 \
-		-workers 1 -json > $$d/w1.json; \
-	$$d/protozoa-sim -workload barnes -protocol mw -scale 1 \
-		-workers 4 -json > $$d/w4.json; \
-	cmp $$d/w1.json $$d/w4.json \
-		|| { echo "pdes-smoke: -workers 1 and -workers 4 diverge"; exit 1; }; \
-	echo "pdes-smoke: -workers 1 and -workers 4 stats byte-identical"
-
-# flight-smoke: record the flight log for the same run at -workers 1
-# and -workers 2 — the files must be byte-identical (the merged
-# per-tile rings are worker-count invariant) — then validate the log
-# end to end through protozoa-inspect -check.
+# flight-smoke: record the flight log of the same run twice — the
+# files must be byte-identical (the simulator is a pure function of its
+# inputs) — then validate the log end to end through protozoa-inspect
+# -check.
 flight-smoke:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	go build -o $$d/protozoa-sim ./cmd/protozoa-sim; \
 	go build -o $$d/protozoa-inspect ./cmd/protozoa-inspect; \
 	$$d/protozoa-sim -workload barnes -protocol mw -scale 1 \
-		-workers 1 -flight $$d/w1.pzfl > /dev/null; \
+		-flight $$d/a.pzfl > /dev/null; \
 	$$d/protozoa-sim -workload barnes -protocol mw -scale 1 \
-		-workers 2 -flight $$d/w2.pzfl > /dev/null; \
-	cmp $$d/w1.pzfl $$d/w2.pzfl \
-		|| { echo "flight-smoke: -workers 1 and -workers 2 flight logs diverge"; exit 1; }; \
-	$$d/protozoa-inspect -check $$d/w1.pzfl \
+		-flight $$d/b.pzfl > /dev/null; \
+	cmp $$d/a.pzfl $$d/b.pzfl \
+		|| { echo "flight-smoke: two recordings of the same run diverge"; exit 1; }; \
+	$$d/protozoa-inspect -check $$d/a.pzfl \
 		|| { echo "flight-smoke: recorded log failed validation"; exit 1; }; \
-	echo "flight-smoke: flight logs byte-identical across workers and inspect-clean"
+	echo "flight-smoke: flight logs byte-identical across runs and inspect-clean"
 
 # trace-smoke: a 1-iteration simulation with event tracing and the
 # metrics registry enabled, validating both JSON artifacts parse
@@ -155,14 +140,15 @@ cache-smoke:
 		     grep ' cells (' $$d/report-warm.err; exit 1; }; \
 	echo "cache-smoke: warm report 100% cached, byte-identical to cold"
 
-# bench runs the simulator throughput benchmark with allocation
-# accounting in a benchstat-friendly shape (-count 5). Compare against
-# the latest committed BENCH_*.json numbers after hot-path changes.
+# bench runs the simulator throughput benchmarks (per protocol, plus
+# the gate's barnes / Protozoa-MW number) with allocation accounting
+# in a benchstat-friendly shape (-count 5). Compare against the latest
+# committed BENCH_*.json numbers after hot-path changes.
 bench:
-	go test -run '^$$' -bench SimulatorThroughput -benchmem -benchtime 2s -count 5 .
+	go test -run '^$$' -bench 'SimulatorThroughput(Gate)?$$' -benchmem -benchtime 2s -count 5 .
 
 # bench-compare is the regression workflow behind the committed
-# BENCH_*.json snapshots: run the parallel-throughput benchmark at
+# BENCH_*.json snapshots: run the gate throughput benchmark at
 # -count 5, diff per-benchmark medians against the most recent
 # snapshot, and emit the next one. benchstat is used when present;
 # cmd/protozoa-benchdiff (in-repo, no dependencies) always runs and
@@ -175,7 +161,7 @@ BENCH_CHANGE ?= uncommitted working tree
 bench-compare:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	go build -o $$d/protozoa-benchdiff ./cmd/protozoa-benchdiff; \
-	go test -run '^$$' -bench SimulatorThroughputParallel -benchmem \
+	go test -run '^$$' -bench SimulatorThroughputGate -benchmem \
 		-benchtime 2s -count 5 . | tee $$d/bench.txt; \
 	if command -v benchstat >/dev/null 2>&1; then benchstat $$d/bench.txt; fi; \
 	$$d/protozoa-benchdiff -baseline "$(BENCH_BASELINE)" \
@@ -193,9 +179,9 @@ BENCH_GATE_TOL ?= 15
 bench-gate:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	go build -o $$d/protozoa-benchdiff ./cmd/protozoa-benchdiff; \
-	go test -run '^$$' -bench SimulatorThroughputParallel \
+	go test -run '^$$' -bench SimulatorThroughputGate \
 		-benchtime 1s -count 3 . | tee $$d/bench.txt; \
 	$$d/protozoa-benchdiff -baseline "$(BENCH_BASELINE)" \
 		-gate $(BENCH_GATE_TOL) < $$d/bench.txt
 
-.PHONY: verify bench bench-compare bench-gate trace-smoke obs-smoke pdes-smoke flight-smoke cache-smoke
+.PHONY: verify bench bench-compare bench-gate trace-smoke obs-smoke flight-smoke cache-smoke

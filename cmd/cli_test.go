@@ -341,44 +341,33 @@ func TestCLIs(t *testing.T) {
 	})
 
 	t.Run("sim-self-prof", func(t *testing.T) {
-		args := []string{"-workload", "histogram", "-cores", "4", "-scale", "1", "-workers", "2"}
+		args := []string{"-workload", "histogram", "-cores", "4", "-scale", "1"}
 		spOut := filepath.Join(dir, "selfprof.json")
-		spTrace := filepath.Join(dir, "selfprof-trace.json")
-		cmd := exec.Command(bin("protozoa-sim"), append(args,
-			"-self-prof", "-self-prof-out", spOut, "-self-prof-trace", spTrace)...)
+		cmd := exec.Command(bin("protozoa-sim"), append(args, "-self-prof", "-self-prof-out", spOut)...)
 		var stdout, stderr strings.Builder
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		if err := cmd.Run(); err != nil {
 			t.Fatalf("sim -self-prof: %v\n%s", err, stderr.String())
 		}
-		for _, want := range []string{"self-profile (pdes", "rounds", "queue:"} {
+		for _, want := range []string{"self-profile:", "events in", "queue:"} {
 			if !strings.Contains(stderr.String(), want) {
 				t.Errorf("self-prof summary missing %q:\n%s", want, stderr.String())
 			}
 		}
 		var report struct {
-			Mode   string `json:"mode"`
-			Rounds uint64 `json:"rounds"`
-			Tiles  []json.RawMessage `json:"tiles"`
+			TotalEvents uint64 `json:"total_events"`
+			Queue       struct {
+				RingPushes uint64 `json:"ring_pushes"`
+			} `json:"queue"`
 		}
 		data, err := os.ReadFile(spOut)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal(data, &report); err != nil || report.Mode != "pdes" ||
-			report.Rounds == 0 || len(report.Tiles) != 4 {
-			t.Errorf("-self-prof-out report (%v): mode=%q rounds=%d tiles=%d",
-				err, report.Mode, report.Rounds, len(report.Tiles))
-		}
-		var meta struct {
-			TraceEvents []json.RawMessage `json:"traceEvents"`
-		}
-		data, err = os.ReadFile(spTrace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(data, &meta); err != nil || len(meta.TraceEvents) == 0 {
-			t.Errorf("-self-prof-trace (%v, %d events)", err, len(meta.TraceEvents))
+		if err := json.Unmarshal(data, &report); err != nil || report.TotalEvents == 0 ||
+			report.Queue.RingPushes == 0 {
+			t.Errorf("-self-prof-out report (%v): total_events=%d ring_pushes=%d",
+				err, report.TotalEvents, report.Queue.RingPushes)
 		}
 		// The measurement report on stdout must be byte-identical with
 		// the profiler off.
@@ -393,14 +382,14 @@ func TestCLIs(t *testing.T) {
 	})
 
 	t.Run("sim-flight-inspect", func(t *testing.T) {
-		// Record the same run at two worker counts: the flight logs must
-		// be byte-identical, and inspect must validate and reconstruct
+		// Record the same run twice: the flight logs must be
+		// byte-identical, and inspect must validate and reconstruct
 		// transactions whose phase dwells tile the total latency.
 		logs := make([][]byte, 2)
-		for i, w := range []string{"1", "2"} {
-			path := filepath.Join(dir, "flight-w"+w+".pzfl")
+		for i := range logs {
+			path := filepath.Join(dir, "flight-"+strconv.Itoa(i)+".pzfl")
 			out := run(t, bin("protozoa-sim"), "-workload", "fft", "-cores", "4", "-scale", "1",
-				"-workers", w, "-flight", path, "-flight-cap", "65536")
+				"-flight", path, "-flight-cap", "65536")
 			if !strings.Contains(out, "flight recorder:") {
 				t.Errorf("sim report missing the flight recorder line:\n%s", out)
 			}
@@ -411,9 +400,9 @@ func TestCLIs(t *testing.T) {
 			logs[i] = data
 		}
 		if string(logs[0]) != string(logs[1]) {
-			t.Error("flight logs differ between -workers 1 and -workers 2")
+			t.Error("flight logs differ between two identical runs")
 		}
-		log := filepath.Join(dir, "flight-w1.pzfl")
+		log := filepath.Join(dir, "flight-0.pzfl")
 		out := run(t, bin("protozoa-inspect"), "-check", log)
 		if !strings.HasPrefix(out, "ok:") || !strings.Contains(out, "(0 open)") {
 			t.Errorf("inspect -check output:\n%s", out)

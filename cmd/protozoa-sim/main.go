@@ -43,7 +43,6 @@ func main() {
 	proto := flag.String("protocol", "mw", "coherence protocol: mesi, sw, swmr, mw")
 	cores := flag.Int("cores", 16, "number of cores (1, 2, 4, or 16)")
 	scale := flag.Int("scale", 2, "workload iteration multiplier")
-	workers := flag.Int("workers", 0, "parallel window-loop goroutines (0 = sequential engine; results are byte-identical for any value >= 1)")
 	list := flag.Bool("list", false, "list the workload suite and exit")
 	msglog := flag.Int("msglog", 0, "dump the last N coherence messages after the run")
 	flightOut := flag.String("flight", "", "record a protocol flight log (every message, state transition, and directory step) and write it to this file for protozoa-inspect")
@@ -56,9 +55,8 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the sampled metrics registry as JSON to this file")
 	attribOut := flag.Bool("attrib", false, "print the traffic-attribution report (utilization, sharing patterns, top offenders)")
 	serve := flag.String("serve", "", "serve live Prometheus metrics at this address (e.g. 127.0.0.1:8080) for the run's duration")
-	selfProf := flag.Bool("self-prof", false, "profile the simulator itself (PDES rounds, queue introspection); summary to stderr, results unchanged")
+	selfProf := flag.Bool("self-prof", false, "profile the simulator itself (event-queue introspection); summary to stderr, results unchanged")
 	selfProfOut := flag.String("self-prof-out", "", "write the self-profile report as JSON to this file (implies -self-prof)")
-	selfProfTrace := flag.String("self-prof-trace", "", "write the self-profile's wall-clock round spans as Chrome trace JSON to this file (implies -self-prof)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	version := flag.Bool("version", false, "print build provenance (result-cache schema and code stamp) and exit")
@@ -89,12 +87,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "protozoa-sim:", err)
 		os.Exit(1)
 	}
-	doSelfProf := *selfProf || *selfProfOut != "" || *selfProfTrace != ""
+	doSelfProf := *selfProf || *selfProfOut != ""
 	if *msglog > 0 || *timeline > 0 || *traceOut != "" || *metricsOut != "" || *attribOut || *serve != "" || doSelfProf || *flightOut != "" || *stallCycles > 0 {
-		err := runInstrumented(*workload, p, *cores, *scale, *workers, *msglog, *timeline, instrumentOut{
+		err := runInstrumented(*workload, p, *cores, *scale, *msglog, *timeline, instrumentOut{
 			traceOut: *traceOut, traceCap: *traceCap, metricsOut: *metricsOut,
 			attrib: *attribOut, serve: *serve,
-			selfProf: doSelfProf, selfProfOut: *selfProfOut, selfProfTrace: *selfProfTrace,
+			selfProf: doSelfProf, selfProfOut: *selfProfOut,
 			flightOut: *flightOut, flightCap: *flightCap, stallCycles: *stallCycles,
 		})
 		if perr := stopProfiles(); err == nil {
@@ -106,7 +104,7 @@ func main() {
 		}
 		return
 	}
-	st, err := protozoa.Run(*workload, p, protozoa.Options{Cores: *cores, Scale: *scale, Workers: *workers})
+	st, err := protozoa.Run(*workload, p, protozoa.Options{Cores: *cores, Scale: *scale})
 	if perr := stopProfiles(); err == nil {
 		err = perr
 	}
@@ -128,28 +126,26 @@ func main() {
 
 // instrumentOut carries the observability output destinations.
 type instrumentOut struct {
-	traceOut      string
-	traceCap      int
-	metricsOut    string
-	attrib        bool
-	serve         string
-	selfProf      bool
-	selfProfOut   string
-	selfProfTrace string
-	flightOut     string
-	flightCap     int
-	stallCycles   int
+	traceOut    string
+	traceCap    int
+	metricsOut  string
+	attrib      bool
+	serve       string
+	selfProf    bool
+	selfProfOut string
+	flightOut   string
+	flightCap   int
+	stallCycles int
 }
 
 // runInstrumented builds the system directly so protocol transcripts,
 // timelines, event traces, and metrics can be captured and dumped.
-func runInstrumented(workload string, p protozoa.Protocol, cores, scale, workers, msglog, timeline int, out instrumentOut) error {
+func runInstrumented(workload string, p protozoa.Protocol, cores, scale, msglog, timeline int, out instrumentOut) error {
 	spec, err := workloads.Get(workload)
 	if err != nil {
 		return err
 	}
 	cfg := core.DefaultConfig(core.Protocol(p))
-	cfg.Workers = workers
 	if err := runner.ConfigureCores(&cfg, cores); err != nil {
 		return err
 	}
@@ -180,7 +176,7 @@ func runInstrumented(workload string, p protozoa.Protocol, cores, scale, workers
 	}
 	if out.stallCycles > 0 {
 		// Watchdog dumps stream to stderr so stdout stays byte-identical
-		// across worker counts (and with the flag off).
+		// with the flag off.
 		sys.EnableStallWatchdog(engine.Cycle(out.stallCycles), os.Stderr)
 	}
 	if out.serve != "" {
@@ -226,13 +222,6 @@ func runInstrumented(workload string, p protozoa.Protocol, cores, scale, workers
 		report.WriteSummary(os.Stderr)
 		if out.selfProfOut != "" {
 			if err := writeTo(out.selfProfOut, report.WriteJSON); err != nil {
-				return err
-			}
-		}
-		if out.selfProfTrace != "" {
-			// The meta-trace is wall-clock simulator time; it never mixes
-			// into the simulated machine's -trace-out file.
-			if err := writeTo(out.selfProfTrace, sys.SelfProf().WriteChromeTrace); err != nil {
 				return err
 			}
 		}

@@ -35,7 +35,6 @@ func main() {
 	scale := flag.Int("scale", 1, "workload scale")
 	seed := flag.Uint64("seed", 0, "trace-randomization seed (0 = canonical)")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent cells (CSV order and content are identical at any setting)")
-	workers := flag.Int("workers", 0, "parallel window-loop goroutines per cell (0 = sequential engine; rows are byte-identical for any value >= 1)")
 	progress := flag.Bool("progress", false, "stream per-cell wall-time/event-count lines and a summary to stderr")
 	cacheOn := flag.Bool("cache", true, "memoize cells in the in-process result cache (identical cells simulate once)")
 	cacheDir := flag.String("cache-dir", "", "persistent result-cache directory; warm re-runs and interrupted sweeps resume from it")
@@ -76,7 +75,6 @@ func main() {
 		Cores:     *cores,
 		Scale:     *scale,
 		TraceSeed: *seed,
-		Workers:   *workers,
 	}.Cells()
 	if err != nil {
 		fail(err)

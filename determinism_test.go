@@ -17,23 +17,63 @@ import (
 // runs can be compared byte for byte.
 func marshalRun(t *testing.T, workload string, p protozoa.Protocol) []byte {
 	t.Helper()
-	return marshalRunWorkers(t, workload, p, 0)
-}
-
-// marshalRunWorkers is marshalRun with an explicit execution mode:
-// workers 0 is the sequential engine, workers >= 1 the parallel window
-// loop with that many goroutines.
-func marshalRunWorkers(t *testing.T, workload string, p protozoa.Protocol, workers int) []byte {
-	t.Helper()
-	st, err := protozoa.Run(workload, p, protozoa.Options{Cores: 16, Scale: 1, Workers: workers})
+	st, err := protozoa.Run(workload, p, protozoa.Options{Cores: 16, Scale: 1})
 	if err != nil {
-		t.Fatalf("%v on %s (workers %d): %v", p, workload, workers, err)
+		t.Fatalf("%v on %s: %v", p, workload, err)
 	}
 	b, err := json.Marshal(st)
 	if err != nil {
 		t.Fatalf("marshal stats: %v", err)
 	}
 	return b
+}
+
+// newSystem builds one workload on the 16-core machine, ready for the
+// caller to arm recorders and run.
+func newSystem(t *testing.T, workload string, p core.Protocol) *core.System {
+	t.Helper()
+	spec, err := workloads.Get(workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(p)
+	if err := runner.ConfigureCores(&cfg, 16); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(cfg, spec.Streams(16, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// instrumentedRun executes one workload with the event trace,
+// attribution and transition audit armed and returns each output
+// serialized: the stats, the Chrome trace, the attribution dump and
+// the transition table.
+func instrumentedRun(t *testing.T, workload string, p core.Protocol) map[string][]byte {
+	t.Helper()
+	sys := newSystem(t, workload, p)
+	sys.EnableEventTrace(1 << 16)
+	sys.EnableAttribution()
+	sys.EnableTransitionAudit()
+	if err := sys.Run(); err != nil {
+		t.Fatalf("%v on %s: %v", p, workload, err)
+	}
+	out := map[string][]byte{"transition table": []byte(sys.TransitionTable())}
+	var err error
+	if out["stats"], err = json.Marshal(sys.Stats()); err != nil {
+		t.Fatal(err)
+	}
+	if out["attribution dump"], err = sys.Attribution().Dump().AppendBinary(nil); err != nil {
+		t.Fatal(err)
+	}
+	var chrome bytes.Buffer
+	if err := sys.WriteChromeTrace(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	out["chrome trace"] = chrome.Bytes()
+	return out
 }
 
 // TestRunDeterminism runs every protocol twice on the same workload
@@ -53,30 +93,26 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestWorkerCountsAgree runs the parallel window loop at 1, 2, 4 and 8
-// workers for every protocol across four workloads and requires
-// bit-identical statistics: partitioned execution must be a pure
-// function of the configuration, never of the goroutine schedule. (The
-// sequential mode is a different — equally deterministic — schedule of
-// same-cycle cross-tile events, so it is not compared here; its own
-// guarantee is TestRunDeterminism.)
+// TestInstrumentedRunDeterminism extends TestRunDeterminism to four
+// workloads with the recorders armed: two runs of each workload and
+// protocol must produce byte-identical stats, Chrome trace, attribution
+// dump and transition table.
 //
-// micro-barrier-skew is the adversarial case for the window-skipping
-// coordinator: nearly every tile sits idle at a barrier each phase
-// while one straggler runs through extended solo windows, so barrier
-// release cycles, idle-tile skipping, and the extended-window self-cap
-// all land on the determinism-critical path.
-func TestWorkerCountsAgree(t *testing.T) {
-	workloads := []string{"barnes", "ocean", "lu", "micro-barrier-skew"}
-	for _, w := range workloads {
+// micro-barrier-skew is the adversarial schedule: nearly every core
+// sits idle at a barrier each phase while one straggler runs alone, so
+// barrier release and long single-core stretches are on the
+// determinism-critical path.
+func TestInstrumentedRunDeterminism(t *testing.T) {
+	for _, w := range []string{"barnes", "ocean", "lu", "micro-barrier-skew"} {
 		for _, p := range protozoa.Protocols() {
 			w, p := w, p
 			t.Run(w+"/"+p.String(), func(t *testing.T) {
-				base := marshalRunWorkers(t, w, p, 1)
-				for _, n := range []int{2, 4, 8} {
-					got := marshalRunWorkers(t, w, p, n)
-					if !bytes.Equal(base, got) {
-						t.Fatalf("workers=1 and workers=%d diverge:\n%s\n---\n%s", n, base, got)
+				first := instrumentedRun(t, w, p)
+				second := instrumentedRun(t, w, p)
+				for _, what := range []string{"stats", "chrome trace", "attribution dump", "transition table"} {
+					if !bytes.Equal(first[what], second[what]) {
+						t.Errorf("two identical runs produced different %s (%d vs %d bytes)",
+							what, len(first[what]), len(second[what]))
 					}
 				}
 			})
@@ -84,31 +120,16 @@ func TestWorkerCountsAgree(t *testing.T) {
 	}
 }
 
-// TestWorkerCountsAgreeOnFlightLog extends the worker-count guarantee
-// to the flight recorder: the serialized flight log — header and every
-// record, including ring-wrap drops — must be byte-identical at any
-// workers >= 1, even though each tile records into its own ring and the
-// transcript is merged on export. micro-barrier-skew again stresses the
-// adversarial schedule (idle-window skipping, extended solo windows).
-func TestWorkerCountsAgreeOnFlightLog(t *testing.T) {
-	logAt := func(t *testing.T, w string, p core.Protocol, workers int) []byte {
+// TestFlightLogDeterminism requires the serialized flight log — header
+// and every record, including ring-wrap drops — to be byte-identical
+// across two runs of the same configuration.
+func TestFlightLogDeterminism(t *testing.T) {
+	logOf := func(t *testing.T, w string, p core.Protocol) []byte {
 		t.Helper()
-		spec, err := workloads.Get(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := core.DefaultConfig(p)
-		cfg.Workers = workers
-		if err := runner.ConfigureCores(&cfg, 16); err != nil {
-			t.Fatal(err)
-		}
-		sys, err := core.NewSystem(cfg, spec.Streams(16, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := newSystem(t, w, p)
 		sys.EnableFlightRecorder(1 << 15)
 		if err := sys.Run(); err != nil {
-			t.Fatalf("%v on %s (workers %d): %v", p, w, workers, err)
+			t.Fatalf("%v on %s: %v", p, w, err)
 		}
 		var buf bytes.Buffer
 		if err := sys.WriteFlightLog(&buf); err != nil {
@@ -116,16 +137,14 @@ func TestWorkerCountsAgreeOnFlightLog(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	for _, w := range []string{"barnes", "micro-barrier-skew"} {
-		for _, p := range []core.Protocol{core.MESI, core.ProtozoaMW} {
+	for _, w := range []string{"barnes", "ocean", "lu", "micro-barrier-skew"} {
+		for _, p := range protozoa.Protocols() {
 			w, p := w, p
 			t.Run(w+"/"+p.String(), func(t *testing.T) {
-				base := logAt(t, w, p, 1)
-				for _, n := range []int{2, 4} {
-					if got := logAt(t, w, p, n); !bytes.Equal(base, got) {
-						t.Fatalf("flight log diverges between workers=1 and workers=%d (%d vs %d bytes)",
-							n, len(base), len(got))
-					}
+				first, second := logOf(t, w, p), logOf(t, w, p)
+				if !bytes.Equal(first, second) {
+					t.Fatalf("two identical runs produced different flight logs (%d vs %d bytes)",
+						len(first), len(second))
 				}
 			})
 		}

@@ -50,12 +50,10 @@ func TestStallWatchdogFires(t *testing.T) {
 	}
 }
 
-// TestStallWatchdogUnderPDES: detections happen at nominal round-edge
-// ticks under the parallel loop, so arming the watchdog must not be
-// rejected and must still flag the wedged miss.
-func TestStallWatchdogUnderPDES(t *testing.T) {
+// TestStallWatchdogFlagsEveryCore wedges one miss on each of four
+// cores: each must be flagged exactly once, in core order.
+func TestStallWatchdogFlagsEveryCore(t *testing.T) {
 	cfg := testConfig(MESI, 4)
-	cfg.Workers = 2
 	cfg.MemLat = 100_000
 	streams := make([]trace.Stream, 4)
 	for i := range streams {
@@ -70,8 +68,14 @@ func TestStallWatchdogUnderPDES(t *testing.T) {
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(sys.Stalls()) == 0 {
-		t.Fatal("watchdog flagged nothing under PDES")
+	stalls := sys.Stalls()
+	if len(stalls) != 4 {
+		t.Fatalf("%d stall reports, want one per core: %v", len(stalls), stalls)
+	}
+	for i, rep := range stalls {
+		if rep.Core != i || rep.Request != "GETS" {
+			t.Errorf("report %d flagged %+v, want core %d GETS", i, rep, i)
+		}
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 // outstanding).
 type l1Ctrl struct {
 	sys   *System
-	tl    *tile // this core's partition: engine, stats shard, msg pool
 	id    int
 	cache *cache.Cache
 	pred  predictor.Predictor
@@ -83,9 +82,9 @@ type mshr struct {
 	done     completer
 }
 
-func newL1(sys *System, tl *tile, id int, c *cache.Cache, p predictor.Predictor) *l1Ctrl {
+func newL1(sys *System, id int, c *cache.Cache, p predictor.Predictor) *l1Ctrl {
 	return &l1Ctrl{
-		sys: sys, tl: tl, id: id, cache: c, pred: p,
+		sys: sys, id: id, cache: c, pred: p,
 		wordCause: make(map[mem.RegionID]*[mem.MaxRegionWords]deathCause),
 	}
 }
@@ -118,7 +117,7 @@ func (l *l1Ctrl) markDeath(b *cache.Block, cause deathCause) {
 // region's last death decides.
 func (l *l1Ctrl) classifyMiss(region mem.RegionID, w uint8, upgrade bool) {
 	if upgrade {
-		l.tl.st.MissesCoherence++
+		l.sys.st.MissesCoherence++
 		return
 	}
 	var cause deathCause
@@ -127,20 +126,20 @@ func (l *l1Ctrl) classifyMiss(region mem.RegionID, w uint8, upgrade bool) {
 	}
 	switch cause {
 	case diedByEviction:
-		l.tl.st.MissesCapacity++
+		l.sys.st.MissesCapacity++
 	case diedByInvalidation:
-		l.tl.st.MissesCoherence++
+		l.sys.st.MissesCoherence++
 	default:
 		if l.cache.HasRegion(region) {
-			l.tl.st.MissesGranularity++
+			l.sys.st.MissesGranularity++
 		} else {
-			l.tl.st.MissesCold++
+			l.sys.st.MissesCold++
 		}
 	}
 }
 
-// cs is this core's per-core counter slice (in the tile's shard).
-func (l *l1Ctrl) cs() *stats.CoreStats { return &l.tl.st.PerCore[l.id] }
+// cs is this core's per-core counter slice.
+func (l *l1Ctrl) cs() *stats.CoreStats { return &l.sys.st.PerCore[l.id] }
 
 // applyWrite commits a store or RMW to a writable block and returns
 // the value the CPU observes (the stored value, or the pre-increment
@@ -165,8 +164,8 @@ func applyWrite(b *cache.Block, w uint8, mode accessMode, storeVal uint64) uint6
 func (l *l1Ctrl) resolve(addr mem.Addr, mode accessMode, pc, storeVal uint64, done completer) {
 	g := l.sys.geom
 	region, w := g.Region(addr), g.WordOffset(addr)
-	if l.tl.attrib != nil {
-		l.tl.attrib.Access(l.id, region, w, mode.write())
+	if l.sys.attrib != nil {
+		l.sys.attrib.Access(l.id, region, w, mode.write())
 	}
 	audit := l.auditFrom(region)
 	event := "Load"
@@ -176,7 +175,7 @@ func (l *l1Ctrl) resolve(addr mem.Addr, mode accessMode, pc, storeVal uint64, do
 	b := l.cache.Lookup(region, w)
 	if b != nil {
 		if !mode.write() {
-			l.tl.st.L1Hits++
+			l.sys.st.L1Hits++
 			l.cs().Hits++
 			b.Touch(w)
 			audit(event)
@@ -185,7 +184,7 @@ func (l *l1Ctrl) resolve(addr mem.Addr, mode accessMode, pc, storeVal uint64, do
 		}
 		switch b.State {
 		case cache.Modified, cache.Exclusive:
-			l.tl.st.L1Hits++
+			l.sys.st.L1Hits++
 			l.cs().Hits++
 			val := applyWrite(b, w, mode, storeVal)
 			audit(event)
@@ -193,11 +192,11 @@ func (l *l1Ctrl) resolve(addr mem.Addr, mode accessMode, pc, storeVal uint64, do
 			return
 		case cache.Shared:
 			// Write to a clean shared block: upgrade miss.
-			l.tl.st.L1Misses++
+			l.sys.st.L1Misses++
 			l.cs().Misses++
-			l.tl.st.UpgradeMisses++
-			if l.tl.attrib != nil {
-				l.tl.attrib.Upgrade(l.id, region)
+			l.sys.st.UpgradeMisses++
+			if l.sys.attrib != nil {
+				l.sys.attrib.Upgrade(l.id, region)
 			}
 			l.classifyMiss(region, w, true)
 			l.startMiss(mshr{
@@ -210,7 +209,7 @@ func (l *l1Ctrl) resolve(addr mem.Addr, mode accessMode, pc, storeVal uint64, do
 	}
 	// Plain miss: predict the fetch range and trim it against resident
 	// sub-blocks so blocks never overlap.
-	l.tl.st.L1Misses++
+	l.sys.st.L1Misses++
 	l.cs().Misses++
 	l.classifyMiss(region, w, false)
 	want := l.cache.TrimFill(region, l.pred.Predict(pc, region, w), w)
@@ -239,25 +238,25 @@ func (l *l1Ctrl) auditFrom(region mem.RegionID) func(event string) {
 	if l.sys.chk != nil {
 		l.sys.chk.mark(region)
 	}
-	if l.tl.transitions == nil && l.tl.flight == nil {
+	if l.sys.transitions == nil && l.sys.flight == nil {
 		return nopAudit
 	}
 	var from string
-	if l.tl.transitions != nil {
+	if l.sys.transitions != nil {
 		from = l.regionState(region)
 	}
 	var fromCode uint8
-	if l.tl.flight != nil {
+	if l.sys.flight != nil {
 		fromCode = l.flightStateCode(region)
 	}
 	return func(event string) {
-		if l.tl.transitions != nil {
-			l.tl.recordTransition("L1", from, event, l.regionState(region))
+		if l.sys.transitions != nil {
+			l.sys.recordTransition("L1", from, event, l.regionState(region))
 		}
-		if f := l.tl.flight; f != nil {
+		if f := l.sys.flight; f != nil {
 			if to := l.flightStateCode(region); to != fromCode {
 				f.Record(flight.Record{
-					Cycle: l.tl.eng.Now(), Tile: int16(l.tl.id),
+					Cycle: l.sys.eng.Now(), Tile: int16(l.id),
 					Kind: flight.KindL1State, Sub: causeCode(event),
 					Src: int16(l.id), Dst: -1, Req: int16(l.id),
 					Region: uint64(region), From: fromCode, To: to,
@@ -271,22 +270,21 @@ func (l *l1Ctrl) startMiss(ms mshr, t MsgType) {
 	if l.msLive {
 		panic(fmt.Sprintf("core: L1 %d issued a second miss to region %d (in-order core)", l.id, ms.region))
 	}
-	ms.issuedAt = l.tl.eng.Now()
+	ms.issuedAt = l.sys.eng.Now()
 	l.ms = ms
 	l.msLive = true
-	l.tl.mshrLive++
-	if lt := l.sys.latFor(l.id); lt != nil {
+	if lt := l.sys.lat; lt != nil {
 		lt.Issue(l.id, uint64(ms.issuedAt))
 	}
-	if l.tl.rec != nil {
-		l.tl.rec.Record(obs.Event{
+	if l.sys.rec != nil {
+		l.sys.rec.Record(obs.Event{
 			Cycle: ms.issuedAt, Kind: obs.KindMissStart, Sub: uint8(t),
 			Node: int16(l.id), Peer: -1, Region: uint64(ms.region),
 		})
 	}
-	if f := l.tl.flight; f != nil {
+	if f := l.sys.flight; f != nil {
 		f.Record(flight.Record{
-			Cycle: ms.issuedAt, Tile: int16(l.tl.id),
+			Cycle: ms.issuedAt, Tile: int16(l.id),
 			Kind: flight.KindMissStart, Sub: uint8(t),
 			Src: int16(l.id), Dst: int16(l.sys.home(ms.region)), Req: int16(l.id),
 			Region: uint64(ms.region), R: ms.want,
@@ -295,13 +293,13 @@ func (l *l1Ctrl) startMiss(ms mshr, t MsgType) {
 	m := l.newMsg(t, l.sys.home(ms.region), ms.region)
 	m.R = ms.want
 	m.Requester = l.id
-	l.tl.send(m)
+	l.sys.send(m)
 }
 
 // newMsg takes a pooled message of type t from this L1 to dst about
 // the region.
 func (l *l1Ctrl) newMsg(t MsgType, dst int, region mem.RegionID) *Msg {
-	m := l.tl.newMsg()
+	m := l.sys.newMsg()
 	m.Type, m.Src, m.Dst, m.Region = t, l.id, dst, region
 	return m
 }
@@ -310,21 +308,20 @@ func (l *l1Ctrl) newMsg(t MsgType, dst int, region mem.RegionID) *Msg {
 // Complete stamp uses the same Now() as RecordMissLatency, so the
 // phase sums reconcile exactly against stats.AvgMissLatency.
 func (l *l1Ctrl) retireMiss(ms *mshr) {
-	now := l.tl.eng.Now()
-	l.tl.st.RecordMissLatency(uint64(now - ms.issuedAt))
-	l.tl.mshrLive--
-	if lt := l.sys.latFor(l.id); lt != nil {
+	now := l.sys.eng.Now()
+	l.sys.st.RecordMissLatency(uint64(now - ms.issuedAt))
+	if lt := l.sys.lat; lt != nil {
 		lt.Complete(l.id, uint64(now))
 	}
-	if l.tl.rec != nil {
-		l.tl.rec.Record(obs.Event{
+	if l.sys.rec != nil {
+		l.sys.rec.Record(obs.Event{
 			Cycle: now, Kind: obs.KindMissEnd,
 			Node: int16(l.id), Peer: -1, Region: uint64(ms.region),
 		})
 	}
-	if f := l.tl.flight; f != nil {
+	if f := l.sys.flight; f != nil {
 		f.Record(flight.Record{
-			Cycle: now, Tile: int16(l.tl.id),
+			Cycle: now, Tile: int16(l.id),
 			Kind: flight.KindMissEnd, Sub: flight.SubNone,
 			Src: int16(l.id), Dst: -1, Req: int16(l.id),
 			Region: uint64(ms.region),
@@ -370,10 +367,10 @@ func (l *l1Ctrl) fill(m *Msg) {
 		Data: make([]uint64, m.R.Words()),
 	}
 	copy(blk.Data, m.Words[m.R.Start:])
-	l.tl.st.RecordFill(m.R.Words())
-	l.tl.st.DataWordsIn += uint64(m.PayloadWords())
-	if l.tl.attrib != nil {
-		l.tl.attrib.Fill(l.id, m.Region, m.R.Words())
+	l.sys.st.RecordFill(m.R.Words())
+	l.sys.st.DataWordsIn += uint64(m.PayloadWords())
+	if l.sys.attrib != nil {
+		l.sys.attrib.Fill(l.id, m.Region, m.R.Words())
 	}
 	victims := l.cache.Insert(blk)
 	l.handleVictims(victims)
@@ -397,7 +394,7 @@ func (l *l1Ctrl) fill(m *Msg) {
 // sendUnblock reopens the region at the directory once a response has
 // been installed.
 func (l *l1Ctrl) sendUnblock(region mem.RegionID) {
-	l.tl.send(l.newMsg(MsgUnblock, l.sys.home(region), region))
+	l.sys.send(l.newMsg(MsgUnblock, l.sys.home(region), region))
 }
 
 // grant completes an upgrade. If a racing remote write invalidated the
@@ -420,7 +417,7 @@ func (l *l1Ctrl) grant(m *Msg) {
 		retry := l.newMsg(MsgGetX, l.sys.home(ms.region), ms.region)
 		retry.R = ms.want
 		retry.Requester = l.id
-		l.tl.send(retry)
+		l.sys.send(retry)
 		return
 	}
 	audit := l.auditFrom(m.Region)
@@ -491,7 +488,7 @@ func (l *l1Ctrl) probeGetS(m *Msg) {
 func (l *l1Ctrl) probeInval(m *Msg) {
 	defer l.auditFrom(m.Region)(m.Type.String())
 	if m.Type == MsgInv {
-		l.tl.st.InvMsgs++
+		l.sys.st.InvMsgs++
 	}
 	if !l.cache.HasRegion(m.Region) {
 		l.nack(m)
@@ -523,15 +520,15 @@ func (l *l1Ctrl) probeInval(m *Msg) {
 		}
 	}
 	if len(extracted) > 0 {
-		l.tl.st.Invalidations++
+		l.sys.st.Invalidations++
 		l.cs().Invalidations++
-		if l.tl.attrib != nil {
+		if l.sys.attrib != nil {
 			words := 0
 			for i := range extracted {
 				words += extracted[i].R.Words()
 			}
 			// Recall INVs carry Requester -1: no core is the offender.
-			l.tl.attrib.Invalidation(m.Region, m.Requester, l.id, words)
+			l.sys.attrib.Invalidation(m.Region, m.Requester, l.id, words)
 		}
 	}
 	// Protozoa-SW+MR: the probed owner is fully revoked — remaining
@@ -593,15 +590,15 @@ func (l *l1Ctrl) finishReply(reply *Msg, processed int) {
 		}
 	}
 	if reply.Type == MsgWback {
-		l.tl.st.Writebacks++
-		l.tl.st.DataWordsOut += uint64(reply.PayloadWords())
+		l.sys.st.Writebacks++
+		l.sys.st.DataWordsOut += uint64(reply.PayloadWords())
 	}
 	delay := engine.Cycle(0)
 	if processed > 1 {
 		delay = engine.Cycle(processed - 1)
 	}
 	reply.phase = phaseSend
-	l.tl.eng.ScheduleRunner(delay, reply)
+	l.sys.eng.ScheduleRunner(delay, reply)
 }
 
 // tryDirectForward implements the 3-hop fast path (Section 6): when
@@ -624,8 +621,8 @@ func (l *l1Ctrl) tryDirectForward(m *Msg, grant MsgType) bool {
 	for w := m.R.Start; w <= m.R.End; w++ {
 		data.Words[w] = l.cache.Peek(m.Region, w).Word(w)
 	}
-	l.tl.st.DirectForwards++
-	l.tl.send(data)
+	l.sys.st.DirectForwards++
+	l.sys.send(data)
 	return true
 }
 
@@ -634,7 +631,7 @@ func (l *l1Ctrl) tryDirectForward(m *Msg, grant MsgType) bool {
 func (l *l1Ctrl) nack(probe *Msg) {
 	m := l.newMsg(MsgNack, probe.Src, probe.Region)
 	m.TxnID = probe.TxnID
-	l.tl.send(m)
+	l.sys.send(m)
 }
 
 // handleVictims processes capacity evictions: classify each dead
@@ -644,7 +641,7 @@ func (l *l1Ctrl) nack(probe *Msg) {
 func (l *l1Ctrl) handleVictims(victims []cache.Block) {
 	for i := range victims {
 		v := &victims[i]
-		l.tl.st.Evictions++
+		l.sys.st.Evictions++
 		l.markDeath(v, diedByEviction)
 		l.classifyDeath(v)
 		if v.State != cache.Modified {
@@ -653,7 +650,7 @@ func (l *l1Ctrl) handleVictims(victims []cache.Block) {
 			// replacement-notification discipline). Precise directories
 			// keep the paper's silent-drop-then-NACK behaviour.
 			if l.sys.cfg.Directory == DirBloom && !l.cache.HasRegion(v.Region) {
-				l.tl.send(l.newMsg(MsgWbackLast, l.sys.home(v.Region), v.Region))
+				l.sys.send(l.newMsg(MsgWbackLast, l.sys.home(v.Region), v.Region))
 			}
 			continue
 		}
@@ -666,10 +663,10 @@ func (l *l1Ctrl) handleVictims(victims []cache.Block) {
 		if !wb.StillSharer {
 			wb.Type = MsgWbackLast
 		}
-		l.tl.st.Writebacks++
-		l.tl.st.DataWordsOut += uint64(wb.PayloadWords())
+		l.sys.st.Writebacks++
+		l.sys.st.DataWordsOut += uint64(wb.PayloadWords())
 		l.classifyWriteback(v)
-		l.tl.send(wb)
+		l.sys.send(wb)
 	}
 }
 
@@ -677,13 +674,13 @@ func (l *l1Ctrl) handleVictims(victims []cache.Block) {
 // unused (Figure 9) and trains the predictor on the observed usage.
 func (l *l1Ctrl) classifyDeath(b *cache.Block) {
 	used := b.UsedWords()
-	l.tl.st.UsedDataBytes += uint64(used) * mem.WordBytes
-	l.tl.st.UnusedDataBytes += uint64(b.R.Words()-used) * mem.WordBytes
-	if l.tl.attrib != nil {
+	l.sys.st.UsedDataBytes += uint64(used) * mem.WordBytes
+	l.sys.st.UnusedDataBytes += uint64(b.R.Words()-used) * mem.WordBytes
+	if l.sys.attrib != nil {
 		// Every fill eventually reaches one of the classifyDeath sites
 		// (eviction, invalidation, or Run's residual flush), so the
 		// tracker's fetched == used + unused reconciles exactly.
-		l.tl.attrib.Death(l.id, b.Region, used, b.R.Words())
+		l.sys.attrib.Death(l.id, b.Region, used, b.R.Words())
 	}
 	l.pred.Train(b.FetchPC, b.Region, b.FetchWord, b.Touched, b.R)
 }
@@ -691,6 +688,6 @@ func (l *l1Ctrl) classifyDeath(b *cache.Block) {
 // classifyWriteback attributes an outgoing writeback payload's words.
 func (l *l1Ctrl) classifyWriteback(b *cache.Block) {
 	used := b.UsedWords()
-	l.tl.st.UsedDataBytes += uint64(used) * mem.WordBytes
-	l.tl.st.UnusedDataBytes += uint64(b.R.Words()-used) * mem.WordBytes
+	l.sys.st.UsedDataBytes += uint64(used) * mem.WordBytes
+	l.sys.st.UnusedDataBytes += uint64(b.R.Words()-used) * mem.WordBytes
 }

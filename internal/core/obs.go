@@ -19,26 +19,12 @@ import (
 // most recent capacity events (capacity <= 0 selects the default 1 Mi).
 // Call before Run. The collected events export as a Perfetto-loadable
 // Chrome trace via WriteChromeTrace.
-// Under PDES the returned recorder is the merge target: each tile
-// records into its own shard (an equal split of the capacity) and the
-// shards are folded into the target, cycle-ordered, when Run completes.
 func (s *System) EnableEventTrace(capacity int) *obs.Recorder {
 	if capacity <= 0 {
 		capacity = obs.DefaultRecorderCap
 	}
 	s.rec = obs.NewRecorder(capacity)
 	s.mesh.SetRecorder(s.rec)
-	for _, t := range s.tiles {
-		if s.pdes {
-			per := capacity / len(s.tiles)
-			if per < 1 {
-				per = 1
-			}
-			t.rec = obs.NewRecorder(per)
-		} else {
-			t.rec = s.rec
-		}
-	}
 	return s.rec
 }
 
@@ -49,17 +35,8 @@ func (s *System) Recorder() *obs.Recorder { return s.rec }
 // EnableLatencyBreakdown attaches per-transaction phase timing: every
 // miss's life is stamped at issue, directory accept, activation, L2
 // access, last probe ack, and completion. Call before Run.
-// Under PDES the returned breakdown is the merge target: stamps go to
-// per-core shards (a core's stamps form a causal chain that never runs
-// concurrently with itself) merged into the target when Run completes.
 func (s *System) EnableLatencyBreakdown() *obs.LatencyBreakdown {
 	s.lat = obs.NewLatencyBreakdown(s.cfg.Cores)
-	if s.pdes {
-		s.latShards = make([]*obs.LatencyBreakdown, s.cfg.Cores)
-		for i := range s.latShards {
-			s.latShards[i] = obs.NewLatencyBreakdown(s.cfg.Cores)
-		}
-	}
 	return s.lat
 }
 
@@ -71,18 +48,9 @@ func (s *System) LatencyBreakdown() *obs.LatencyBreakdown { return s.lat }
 // word accounting, sharing-pattern classification, and
 // invalidation/upgrade attribution to offending regions and cores.
 // Call before Run.
-// Under PDES the returned tracker is the merge target for the per-tile
-// trackers folded in when Run completes.
 func (s *System) EnableAttribution() *attrib.Tracker {
 	if s.attrib == nil {
 		s.attrib = attrib.New(s.cfg.Cores)
-		for _, t := range s.tiles {
-			if s.pdes {
-				t.attrib = attrib.New(s.cfg.Cores)
-			} else {
-				t.attrib = s.attrib
-			}
-		}
 	}
 	return s.attrib
 }
@@ -91,36 +59,15 @@ func (s *System) EnableAttribution() *attrib.Tracker {
 func (s *System) Attribution() *attrib.Tracker { return s.attrib }
 
 // EnableSelfProf attaches the simulator self-profiling layer
-// (internal/obs/selfprof): PDES round/window telemetry, per-tile
-// busy/idle accounting, wall-clock round spans, barrier-wait timing,
-// and engine queue introspection. Call before Run; read the returned
+// (internal/obs/selfprof): engine queue introspection plus the run's
+// event count and wall-clock. Call before Run; read the returned
 // profile only after Run. Results are unaffected — the layer observes
 // the simulator, never the simulated machine, so stats, traces, and
 // CSV output are byte-identical with it on or off.
-// In sequential mode (Workers == 0) the round telemetry is empty and
-// the profile carries the shared engine's queue counters only.
 func (s *System) EnableSelfProf() *selfprof.Profile {
-	if s.selfProf != nil {
-		return s.selfProf
-	}
-	if s.pdes {
-		workers := s.cfg.Workers
-		if workers > len(s.tiles) {
-			workers = len(s.tiles)
-		}
-		p := selfprof.New(len(s.tiles), workers, 0)
-		p.Mode = "pdes"
-		p.LookaheadW = uint64(s.mesh.Lookahead())
-		for i, t := range s.tiles {
-			t.prof = &p.Tiles[i]
-			t.eng.SetProf(&p.Tiles[i].Queue)
-		}
-		s.selfProf = p
-	} else {
-		p := selfprof.New(1, 0, 0)
-		p.Mode = "sequential"
-		s.eng.SetProf(&p.Tiles[0].Queue)
-		s.selfProf = p
+	if s.selfProf == nil {
+		s.selfProf = selfprof.New()
+		s.eng.SetProf(&s.selfProf.Tiles[0].Queue)
 	}
 	return s.selfProf
 }
@@ -128,24 +75,16 @@ func (s *System) EnableSelfProf() *selfprof.Profile {
 // SelfProf returns the attached self-profile, nil when disabled.
 func (s *System) SelfProf() *selfprof.Profile { return s.selfProf }
 
-// finishSelfProf stamps the end-of-run fields readers expect: per-tile
-// zero-delay hit counts (kept in the engine, not the shard), the
-// machine-wide event total, and total wall-clock. Called from both
-// run modes after the final merge; no-op when self-prof is disabled.
+// finishSelfProf stamps the end-of-run fields: the zero-delay hit
+// count (kept in the engine, not the Prof), the event total, and total
+// wall-clock. No-op when self-prof is disabled.
 func (s *System) finishSelfProf() {
 	p := s.selfProf
 	if p == nil {
 		return
 	}
-	if s.pdes {
-		for i, t := range s.tiles {
-			p.Tiles[i].MicroHits = t.eng.MicroHits()
-		}
-	} else {
-		p.Tiles[0].MicroHits = s.eng.MicroHits()
-		p.Tiles[0].Events = s.eng.Processed()
-	}
-	p.TotalEvents = s.EventsProcessed()
+	p.Tiles[0].MicroHits = s.eng.MicroHits()
+	p.TotalEvents = s.eng.Processed()
 	p.TotalNs = int64(time.Since(p.Start))
 }
 
@@ -170,19 +109,18 @@ func (s *System) EnableMetrics() *obs.Registry {
 	}
 	r := &obs.Registry{}
 	r.Register("event_queue_depth", "events pending in the engine queue",
-		func() float64 { return float64(s.queuePending()) })
+		func() float64 { return float64(s.eng.Pending()) })
 	r.Register("event_queue_high_water", "deepest the engine queue has been",
-		func() float64 { return float64(s.queueHighWater()) })
+		func() float64 { return float64(s.eng.HighWater()) })
 	r.Register("event_queue_zero_delay_hits", "events that rode the zero-delay fast path",
-		func() float64 { return float64(s.queueZeroDelayHits()) })
+		func() float64 { return float64(s.eng.MicroHits()) })
 	r.Register("msg_pool_hit_rate", "fraction of messages served from the free list",
 		func() float64 {
-			hits, allocs := s.poolCounts()
-			total := hits + allocs
+			total := s.pool.hits + s.pool.allocs
 			if total == 0 {
 				return 0
 			}
-			return float64(hits) / float64(total)
+			return float64(s.pool.hits) / float64(total)
 		})
 	r.Register("dir_busy_txns", "regions with an active directory transaction",
 		func() float64 {
@@ -195,8 +133,10 @@ func (s *System) EnableMetrics() *obs.Registry {
 	r.Register("mshr_live", "misses outstanding across all cores",
 		func() float64 {
 			live := 0
-			for _, t := range s.tiles {
-				live += t.mshrLive
+			for _, l1 := range s.l1s {
+				if l1.msLive {
+					live++
+				}
 			}
 			return float64(live)
 		})
@@ -204,7 +144,7 @@ func (s *System) EnableMetrics() *obs.Registry {
 		func() float64 { return float64(s.st.MissLatencySum) })
 	r.Register("noc_link_utilization", "flit-hops per link-cycle across the interconnect",
 		func() float64 {
-			cycles := float64(s.simNow()) * float64(s.mesh.LinkCount())
+			cycles := float64(s.eng.Now()) * float64(s.mesh.LinkCount())
 			if cycles == 0 {
 				return 0
 			}
@@ -270,59 +210,6 @@ func (s *System) EnableMetrics() *obs.Registry {
 				return 0
 			}
 			return float64(s.attrib.FalseSharedRegions())
-		})
-	// Self-profiling gauges read 0 until EnableSelfProf runs. They are
-	// sampled at round edges (the PDES timeline tick), inside the
-	// window loop's happens-before chain, so the shard reads are safe.
-	r.Register("selfprof_rounds", "PDES window-loop rounds completed (self-prof)",
-		func() float64 {
-			if s.selfProf == nil {
-				return 0
-			}
-			return float64(s.selfProf.Rounds)
-		})
-	r.Register("selfprof_inline_rounds", "rounds run without dispatching the worker crew (self-prof)",
-		func() float64 {
-			if s.selfProf == nil {
-				return 0
-			}
-			return float64(s.selfProf.InlineRounds)
-		})
-	r.Register("selfprof_solo_extended_rounds", "rounds whose minimum tile ran an extended window (self-prof)",
-		func() float64 {
-			if s.selfProf == nil {
-				return 0
-			}
-			return float64(s.selfProf.SoloExtendedRounds)
-		})
-	r.Register("selfprof_injected_msgs", "cross-tile messages injected at round barriers (self-prof)",
-		func() float64 {
-			if s.selfProf == nil {
-				return 0
-			}
-			return float64(s.selfProf.InjectedMsgs)
-		})
-	r.Register("selfprof_limit_cuts", "engine window self-caps via LimitTo across tiles (self-prof)",
-		func() float64 {
-			if s.selfProf == nil {
-				return 0
-			}
-			var n uint64
-			for i := range s.selfProf.Tiles {
-				n += s.selfProf.Tiles[i].Queue.LimitCuts
-			}
-			return float64(n)
-		})
-	r.Register("selfprof_refusals", "bounded runs stopped by the window edge with work queued (self-prof)",
-		func() float64 {
-			if s.selfProf == nil {
-				return 0
-			}
-			var n uint64
-			for i := range s.selfProf.Tiles {
-				n += s.selfProf.Tiles[i].Queue.Refusals
-			}
-			return float64(n)
 		})
 	// Flight-recorder gauges read 0 until EnableFlightRecorder (or the
 	// stall watchdog) runs, same nil-guard discipline as above.

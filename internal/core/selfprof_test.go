@@ -3,142 +3,53 @@ package core
 import (
 	"bytes"
 	"testing"
-
-	"protozoa/internal/trace"
 )
 
-// runSelfProfWorkload is runPDESWorkload plus EnableSelfProf, minus the
-// observability layers the perturbation test arms separately.
-func runSelfProfWorkload(t *testing.T, p Protocol, workers int) *System {
+// runSelfProfWorkload runs sharingWorkload with EnableSelfProf, minus
+// the observability layers the perturbation test arms separately.
+func runSelfProfWorkload(t *testing.T, p Protocol) *System {
 	t.Helper()
-	cfg := testConfig(p, 4)
-	cfg.Workers = workers
-	perCore := pdesWorkload()
-	streams := make([]trace.Stream, 4)
-	for i := range streams {
-		streams[i] = trace.NewSliceStream(perCore[i])
-	}
-	sys, err := NewSystem(cfg, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := sharingSystem(t, p)
 	sys.EnableSelfProf()
 	if err := sys.Run(); err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatal(err)
 	}
 	return sys
 }
 
-// TestSelfProfReconciles pins the round-telemetry invariants — the
-// analog of the latency layer's reconciliation contract. Running at
-// workers 2 and 4 in-package also puts the shard writes under the
-// tier-1 -race pass.
+// TestSelfProfReconciles pins the queue-telemetry invariants — the
+// analog of the latency layer's reconciliation contract — on every
+// protocol: after a clean drain everything pushed was popped, so the
+// three push paths tile the processed-event count exactly, and the
+// stats-side self-observability fields agree with the profile.
 func TestSelfProfReconciles(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		sys := runSelfProfWorkload(t, ProtozoaMW, workers)
-		p := sys.SelfProf()
-		if p.Rounds == 0 {
-			t.Fatalf("workers=%d: no rounds recorded", workers)
+	for _, p := range AllProtocols {
+		sys := runSelfProfWorkload(t, p)
+		r := sys.SelfProf().Report()
+		events := sys.EventsProcessed()
+		if pushes := r.Queue.RingPushes + r.Queue.FarPushes + r.Queue.MicroHits; pushes != events {
+			t.Errorf("%v: ring %d + far %d + micro %d = %d pushes, %d processed",
+				p, r.Queue.RingPushes, r.Queue.FarPushes, r.Queue.MicroHits, pushes, events)
 		}
-
-		// Every coordinator round classifies every tile exactly once.
-		var events, pushes uint64
-		for i := range p.Tiles {
-			ts := &p.Tiles[i]
-			if ts.BusyRounds+ts.IdleRounds != p.Rounds {
-				t.Errorf("workers=%d tile %d: busy %d + idle %d != rounds %d",
-					workers, i, ts.BusyRounds, ts.IdleRounds, p.Rounds)
-			}
-			if ts.SkippedWithWork > ts.IdleRounds {
-				t.Errorf("workers=%d tile %d: skipped %d > idle %d",
-					workers, i, ts.SkippedWithWork, ts.IdleRounds)
-			}
-			events += ts.Events
-
-			// Clean drain: everything pushed was popped, so the three
-			// push paths tile the tile's processed-event count exactly.
-			tilePushes := ts.Queue.RingPushes + ts.Queue.FarPushes + ts.MicroHits
-			if got := sys.tiles[i].eng.Processed(); tilePushes != got {
-				t.Errorf("workers=%d tile %d: ring %d + far %d + micro %d = %d pushes, %d processed",
-					workers, i, ts.Queue.RingPushes, ts.Queue.FarPushes, ts.MicroHits,
-					tilePushes, got)
-			}
-			pushes += tilePushes
+		if r.TotalEvents != events {
+			t.Errorf("%v: report TotalEvents %d != %d", p, r.TotalEvents, events)
 		}
-		if total := sys.EventsProcessed(); events != total {
-			t.Errorf("workers=%d: per-tile events sum %d != EventsProcessed %d",
-				workers, events, total)
-		}
-		if pushes != sys.EventsProcessed() {
-			t.Errorf("workers=%d: push accounting %d != EventsProcessed %d",
-				workers, pushes, sys.EventsProcessed())
-		}
-
-		// One width observation per round; the min tile always runs.
-		if p.Width.N != p.Rounds {
-			t.Errorf("workers=%d: %d width observations for %d rounds",
-				workers, p.Width.N, p.Rounds)
-		}
-		if p.InlineRounds > p.Rounds {
-			t.Errorf("workers=%d: inline %d > rounds %d", workers, p.InlineRounds, p.Rounds)
-		}
-		if workers == 1 && p.InlineRounds != p.Rounds {
-			t.Errorf("workers=1: every round should be inline, got %d of %d",
-				p.InlineRounds, p.Rounds)
-		}
-		if p.BarrierReleases == 0 {
-			t.Errorf("workers=%d: barrier workload recorded no releases", workers)
-		}
-		if p.InjectedMsgs == 0 {
-			t.Errorf("workers=%d: sharing workload injected no cross-tile messages", workers)
-		}
-
-		// The stats-side self-observability fields agree with the
-		// profile's queue totals.
-		r := p.Report()
 		if sys.Stats().ZeroDelayHits != r.Queue.MicroHits {
-			t.Errorf("workers=%d: stats ZeroDelayHits %d != profile micro %d",
-				workers, sys.Stats().ZeroDelayHits, r.Queue.MicroHits)
+			t.Errorf("%v: stats ZeroDelayHits %d != profile micro %d",
+				p, sys.Stats().ZeroDelayHits, r.Queue.MicroHits)
 		}
-		if r.TotalEvents != sys.EventsProcessed() {
-			t.Errorf("workers=%d: report TotalEvents %d != %d",
-				workers, r.TotalEvents, sys.EventsProcessed())
-		}
-
-		// The telemetry is schedule-determined, so everything except
-		// wall-clock must be worker-count invariant; spot-check the
-		// core counters against the workers=1 run via a second pass.
-		if workers == 1 {
-			continue
-		}
-		base := runSelfProfWorkload(t, ProtozoaMW, 1).SelfProf()
-		if base.Rounds != p.Rounds || base.InjectedMsgs != p.InjectedMsgs ||
-			base.SoloExtendedRounds != p.SoloExtendedRounds ||
-			base.BarrierReleases != p.BarrierReleases {
-			t.Errorf("workers=%d: round telemetry diverges from workers=1: rounds %d/%d injected %d/%d solo %d/%d releases %d/%d",
-				workers, p.Rounds, base.Rounds, p.InjectedMsgs, base.InjectedMsgs,
-				p.SoloExtendedRounds, base.SoloExtendedRounds,
-				p.BarrierReleases, base.BarrierReleases)
+		if r.Queue.RingHigh == 0 || r.Queue.MicroHigh == 0 {
+			t.Errorf("%v: high-water marks not recorded: %+v", p, r.Queue)
 		}
 	}
 }
 
 // TestSelfProfDoesNotPerturbResults is the byte-identical acceptance
 // contract: every observable of a fully-instrumented run matches
-// exactly with self-prof on vs off, in both execution modes.
+// exactly with self-prof on vs off.
 func TestSelfProfDoesNotPerturbResults(t *testing.T) {
-	run := func(workers int, selfProf bool) *System {
-		cfg := testConfig(ProtozoaSW, 4)
-		cfg.Workers = workers
-		perCore := pdesWorkload()
-		streams := make([]trace.Stream, 4)
-		for i := range streams {
-			streams[i] = trace.NewSliceStream(perCore[i])
-		}
-		sys, err := NewSystem(cfg, streams)
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(selfProf bool) *System {
+		sys := sharingSystem(t, ProtozoaSW)
 		sys.EnableTimeline(500)
 		sys.EnableEventTrace(1 << 14)
 		sys.EnableAttribution()
@@ -146,32 +57,23 @@ func TestSelfProfDoesNotPerturbResults(t *testing.T) {
 			sys.EnableSelfProf()
 		}
 		if err := sys.Run(); err != nil {
-			t.Fatalf("workers=%d selfprof=%v: %v", workers, selfProf, err)
+			t.Fatalf("selfprof=%v: %v", selfProf, err)
 		}
 		return sys
 	}
-	for _, workers := range []int{0, 2} {
-		base := run(workers, false)
-		prof := run(workers, true)
-		assertJSONEqual(t, workers, "stats", base.Stats(), prof.Stats())
-		assertJSONEqual(t, workers, "timeline", base.Timeline(), prof.Timeline())
-		assertJSONEqual(t, workers, "trace", base.Recorder().Snapshot(), prof.Recorder().Snapshot())
-		assertJSONEqual(t, workers, "attribution", base.Attribution().Summarize(), prof.Attribution().Summarize())
-	}
+	base := run(false)
+	prof := run(true)
+	assertJSONEqual(t, "stats", base.Stats(), prof.Stats())
+	assertJSONEqual(t, "timeline", base.Timeline(), prof.Timeline())
+	assertJSONEqual(t, "trace", base.Recorder().Snapshot(), prof.Recorder().Snapshot())
+	assertJSONEqual(t, "attribution", base.Attribution().Summarize(), prof.Attribution().Summarize())
 }
 
-// TestSelfProfSequentialMode: with Workers == 0 there is no window
-// loop, but the queue introspection still works on the shared engine.
+// TestSelfProfSequentialMode: the queue introspection works on the
+// machine's event queue and the report renders.
 func TestSelfProfSequentialMode(t *testing.T) {
-	sys := runSelfProfWorkload(t, MESI, 0)
-	p := sys.SelfProf()
-	if p.Mode != "sequential" {
-		t.Fatalf("mode = %q", p.Mode)
-	}
-	if p.Rounds != 0 {
-		t.Errorf("sequential run recorded %d rounds", p.Rounds)
-	}
-	r := p.Report()
+	sys := runSelfProfWorkload(t, MESI)
+	r := sys.SelfProf().Report()
 	if got := sys.EventsProcessed(); r.Queue.RingPushes+r.Queue.FarPushes+r.Queue.MicroHits != got {
 		t.Errorf("queue pushes %d+%d+%d != %d events processed",
 			r.Queue.RingPushes, r.Queue.FarPushes, r.Queue.MicroHits, got)

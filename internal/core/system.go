@@ -82,15 +82,6 @@ type Config struct {
 	// MaxEvents bounds the event count as a livelock watchdog;
 	// 0 disables the bound.
 	MaxEvents uint64
-
-	// Workers selects the execution mode. 0 (the default) runs the
-	// whole machine on one shared event queue, exactly as before. Any
-	// value >= 1 partitions the machine by tile and drives it with the
-	// conservative PDES window loop using that many worker goroutines;
-	// results are byte-identical across every Workers >= 1 setting.
-	// The two modes schedule same-cycle cross-tile events differently,
-	// so 0 and 1 are distinct (each internally deterministic) schedules.
-	Workers int
 }
 
 // DefaultConfig is the Table 4 16-core system for the given protocol.
@@ -139,12 +130,6 @@ type System struct {
 	obs Observer
 	chk *Checker // the attached Checker, marked dirty by the L1s directly
 
-	// tiles are the PDES partitions (one per core: core + L1 + L2/dir
-	// slice + router). In the legacy single-queue mode every tile
-	// aliases the shared engine, stats, and message pool, so the
-	// controllers always account through their tile and never branch.
-	tiles []*tile
-	pdes  bool // Workers > 0: run the window loop instead of Engine.Run
 	// Observability hooks (internal/obs). All nil/zero unless the
 	// corresponding Enable* method ran; every use site guards with a
 	// single nil check so the disabled path costs one branch.
@@ -153,8 +138,8 @@ type System struct {
 	metrics *obs.Registry
 	attrib  *attrib.Tracker
 
-	// flight is the flight recorder (EnableFlightRecorder): per-tile
-	// record rings merged deterministically on read. msgCap, when
+	// flight is the flight recorder (EnableFlightRecorder): one bounded
+	// ring of protocol-step records in execution order. msgCap, when
 	// nonzero, bounds the legacy MessageLog view reconstructed from the
 	// flight transcript. The stall* fields belong to the watchdog
 	// (EnableStallWatchdog), checked on timeline ticks.
@@ -165,35 +150,20 @@ type System struct {
 	stallSeen      map[stallKey]bool
 	stalls         []StallReport
 
-	// selfProf observes the simulator itself (EnableSelfProf): PDES
-	// round telemetry and engine queue introspection. nil = disabled.
+	// selfProf observes the simulator itself (EnableSelfProf): engine
+	// queue introspection. nil = disabled.
 	selfProf *selfprof.Profile
-
-	// latShards holds per-core latency-breakdown shards under PDES
-	// (indexed by the core whose miss is being stamped — directory
-	// slices stamp for the requesting core, which may live on another
-	// tile, but each core's stamps form a causal chain so a shard is
-	// only ever touched by one tile per window). nil in legacy mode.
-	latShards []*obs.LatencyBreakdown
 
 	// onSample, when non-nil, runs after every timeline tick's metrics
 	// sample — the live-endpoint publish hook (SetSampleHook).
 	onSample func(cycle uint64)
 
-	// pool is the shared message free list in legacy mode (PDES tiles
-	// carry their own).
+	// pool is the message free list.
 	pool msgPool
 
 	// transitions records the observed protocol state machine when
-	// EnableTransitionAudit was called (nil otherwise). Under PDES it
-	// is the merge target; tiles record into their own maps.
+	// EnableTransitionAudit was called (nil otherwise).
 	transitions map[Transition]uint64
-
-	// pdesNow is the last completed window edge — the "current cycle"
-	// reported by gauges while the window loop runs. nextSample is the
-	// next timeline-sample cycle due.
-	pdesNow    engine.Cycle
-	nextSample engine.Cycle
 
 	// Timeline sampling (EnableTimeline). timelineEv is the pre-bound
 	// engine.Runner the sampler reschedules itself through.
@@ -210,63 +180,18 @@ type System struct {
 	ran            bool
 }
 
-// msgPool is the free list behind newMsg/freeMsg. Each user (the whole
-// machine in legacy mode, one tile under PDES) is single-goroutine, so
-// recycling needs no synchronization. At steady state every coherence
-// message comes from a pool.
+// msgPool is the free list behind newMsg/freeMsg. The machine is
+// single-goroutine, so recycling needs no synchronization. At steady
+// state every coherence message comes from the pool.
 type msgPool struct {
 	free   []*Msg
 	hits   uint64 // newMsg served from the free list
 	allocs uint64 // newMsg had to allocate
 }
 
-// outMsg is a cross-tile message parked in the sender's outbox until
-// the window barrier, when the coordinator moves it to the destination
-// tile's queue. at is its precomputed arrival cycle.
-type outMsg struct {
-	at engine.Cycle
-	m  *Msg
-}
-
-// tile is one PDES partition: a core, its L1, the co-located L2/dir
-// slice, and the router's share of accounting. In legacy mode all
-// tiles alias the machine-wide engine, stats, and pool, so controller
-// code is identical in both modes.
-type tile struct {
-	id   int
-	sys  *System
-	eng  *engine.Engine
-	st   *stats.Stats
-	pool *msgPool
-
-	// Per-tile observability shards (nil/shared depending on mode; set
-	// by the Enable* methods).
-	rec         *obs.Recorder
-	flight      *flight.Ring
-	attrib      *attrib.Tracker
-	prof        *selfprof.TileShard
-	transitions map[Transition]uint64
-
-	mshrLive int // misses outstanding at this tile's core
-
-	// PDES window state, untouched in legacy mode.
-	outbox         []outMsg
-	bound          engine.Cycle   // this round's window bound (exclusive)
-	wRow           []engine.Cycle // wRow[j] = mesh.LookaheadBetween(j, id)
-	coreDone       bool
-	retire         engine.Cycle // cycle this tile's core finished its stream
-	barrierArrived bool
-
-	// doneCounted / barrierCounted mark flags the window loop has
-	// already folded into its incremental counters, so the per-round
-	// bookkeeping touches only the tiles that just ran.
-	doneCounted    bool
-	barrierCounted bool
-}
-
 // newMsg takes a zeroed message from the free list (or allocates one).
-func (t *tile) newMsg() *Msg {
-	p := t.pool
+func (s *System) newMsg() *Msg {
+	p := &s.pool
 	if n := len(p.free); n > 0 {
 		m := p.free[n-1]
 		p.free = p.free[:n-1]
@@ -274,22 +199,20 @@ func (t *tile) newMsg() *Msg {
 		return m
 	}
 	p.allocs++
-	return &Msg{sys: t.sys}
+	return &Msg{sys: s}
 }
 
 // freeMsg recycles a message whose lifecycle has ended: delivered and
-// fully handled, with no controller retaining a reference. Messages are
-// freed into the pool of the tile where they died, which may differ
-// from the pool that allocated them — pools only recycle memory, they
-// carry no identity.
-func (t *tile) freeMsg(m *Msg) {
+// fully handled, with no controller retaining a reference. node is the
+// tile where it died, which the flight record names.
+func (s *System) freeMsg(node int, m *Msg) {
 	// The free record is taken before the message is zeroed — it copies
 	// every field it keeps, so no record ever aliases a recycled Msg.
-	if t.flight != nil {
-		t.flightMsg(flight.KindMsgFree, t.eng.Now(), m)
+	if s.flight != nil {
+		s.flightMsg(flight.KindMsgFree, node, m)
 	}
-	*m = Msg{sys: t.sys}
-	t.pool.free = append(t.pool.free, m)
+	*m = Msg{sys: s}
+	s.pool.free = append(s.pool.free, m)
 }
 
 // NewSystem builds a machine executing the given per-core streams.
@@ -316,24 +239,6 @@ func NewSystem(cfg Config, streams []trace.Stream) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, geom: geom, eng: eng, mesh: mesh, st: st}
-	s.pdes = cfg.Workers > 0
-	for i := 0; i < cfg.Cores; i++ {
-		t := &tile{id: i, sys: s}
-		if s.pdes {
-			t.eng = engine.New()
-			t.wRow = make([]engine.Cycle, cfg.Cores)
-			for j := 0; j < cfg.Cores; j++ {
-				t.wRow[j] = mesh.LookaheadBetween(j, i)
-			}
-			t.st = &stats.Stats{PerCore: make([]stats.CoreStats, cfg.Cores)}
-			t.pool = &msgPool{}
-		} else {
-			t.eng = eng
-			t.st = st
-			t.pool = &s.pool
-		}
-		s.tiles = append(s.tiles, t)
-	}
 	for i := 0; i < cfg.Cores; i++ {
 		l1cache, err := cache.New(cache.Config{
 			Sets:           cfg.L1Sets,
@@ -354,9 +259,9 @@ func NewSystem(cfg Config, streams []trace.Stream) (*System, error) {
 		default:
 			pred = predictor.Fixed{Geom: geom}
 		}
-		s.l1s = append(s.l1s, newL1(s, s.tiles[i], i, l1cache, pred))
-		s.dirs = append(s.dirs, newDirSlice(s, s.tiles[i], i))
-		c := &cpu{id: i, sys: s, tl: s.tiles[i], stream: streams[i]}
+		s.l1s = append(s.l1s, newL1(s, i, l1cache, pred))
+		s.dirs = append(s.dirs, newDirSlice(s, i))
+		c := &cpu{id: i, sys: s, stream: streams[i]}
 		c.accessEv = cpuAccess{s: s, c: c}
 		c.stepEv = cpuStep{s: s, c: c}
 		s.cpus = append(s.cpus, c)
@@ -370,93 +275,11 @@ func (s *System) SetObserver(o Observer) { s.obs = o }
 // Stats exposes the run's counters.
 func (s *System) Stats() *stats.Stats { return s.st }
 
-// Engine exposes the event engine (tests and the random tester). Under
-// PDES this is the construction-time engine, which never runs; use
-// EventsProcessed for the machine-wide event count.
+// Engine exposes the event engine (tests and the random tester).
 func (s *System) Engine() *engine.Engine { return s.eng }
 
-// EventsProcessed reports how many events the machine has run, across
-// all partitions in PDES mode.
-func (s *System) EventsProcessed() uint64 {
-	if s.pdes {
-		var n uint64
-		for _, t := range s.tiles {
-			n += t.eng.Processed()
-		}
-		return n
-	}
-	return s.eng.Processed()
-}
-
-// simNow is the machine's notion of "now" for gauges and diagnostics:
-// the shared engine's clock in legacy mode, the last completed window
-// edge under PDES.
-func (s *System) simNow() engine.Cycle {
-	if s.pdes {
-		return s.pdesNow
-	}
-	return s.eng.Now()
-}
-
-// queuePending and queueHighWater aggregate the engine-queue gauges
-// across partitions under PDES; legacy mode reads the shared engine.
-func (s *System) queuePending() int {
-	if !s.pdes {
-		return s.eng.Pending()
-	}
-	n := 0
-	for _, t := range s.tiles {
-		n += t.eng.Pending()
-	}
-	return n
-}
-
-func (s *System) queueHighWater() int {
-	if !s.pdes {
-		return s.eng.HighWater()
-	}
-	n := 0
-	for _, t := range s.tiles {
-		n += t.eng.HighWater()
-	}
-	return n
-}
-
-// queueZeroDelayHits aggregates the engines' zero-delay fast-path hit
-// counters (always on — the count shares the fast path's branch).
-func (s *System) queueZeroDelayHits() uint64 {
-	if !s.pdes {
-		return s.eng.MicroHits()
-	}
-	var n uint64
-	for _, t := range s.tiles {
-		n += t.eng.MicroHits()
-	}
-	return n
-}
-
-// poolCounts aggregates message-pool hit/alloc counters across the
-// pools in use (one shared pool in legacy mode, one per tile in PDES).
-func (s *System) poolCounts() (hits, allocs uint64) {
-	if !s.pdes {
-		return s.pool.hits, s.pool.allocs
-	}
-	for _, t := range s.tiles {
-		hits += t.pool.hits
-		allocs += t.pool.allocs
-	}
-	return hits, allocs
-}
-
-// latFor returns the latency-breakdown sink for stamps belonging to the
-// given core's misses: the per-core shard under PDES, the shared
-// tracker otherwise (nil when the breakdown is disabled).
-func (s *System) latFor(core int) *obs.LatencyBreakdown {
-	if s.latShards != nil {
-		return s.latShards[core]
-	}
-	return s.lat
-}
+// EventsProcessed reports how many events the machine has run.
+func (s *System) EventsProcessed() uint64 { return s.eng.Processed() }
 
 // Protocol reports the configured protocol.
 func (s *System) Protocol() Protocol { return s.cfg.Protocol }
@@ -470,43 +293,26 @@ func (s *System) home(r mem.RegionID) int {
 	return int(uint64(r) % uint64(s.cfg.Cores))
 }
 
-// send puts a message on the mesh and accounts its control bytes into
-// the sending tile's stats shard. Data payload bytes are classified
-// used/unused at block-death and writeback time by the L1s, so they are
-// not accounted here. Under PDES a cross-tile message parks in the
-// sender's outbox (its arrival cycle lies beyond the window edge, by
-// the lookahead contract) until the coordinator injects it at the next
-// barrier; same-tile and legacy sends schedule directly.
-func (t *tile) send(m *Msg) {
-	s := t.sys
-	t.st.AddControl(m.Class(), CtrlBytes)
-	if t.flight != nil {
-		t.flightMsg(flight.KindMsgSend, t.eng.Now(), m)
+// send puts a message on the mesh and accounts its control bytes.
+// Data payload bytes are classified used/unused at block-death and
+// writeback time by the L1s, so they are not accounted here. The
+// sender is always m.Src.
+func (s *System) send(m *Msg) {
+	s.st.AddControl(m.Class(), CtrlBytes)
+	if s.flight != nil {
+		s.flightMsg(flight.KindMsgSend, m.Src, m)
 	}
-	if t.rec != nil {
-		t.rec.Record(obs.Event{
-			Cycle: t.eng.Now(), Kind: obs.KindMsgSend, Sub: uint8(m.Type),
+	if s.rec != nil {
+		s.rec.Record(obs.Event{
+			Cycle: s.eng.Now(), Kind: obs.KindMsgSend, Sub: uint8(m.Type),
 			Node: int16(m.Src), Peer: int16(m.Dst),
 			Region: uint64(m.Region), Txn: m.TxnID,
 		})
 	}
 	m.sys = s
 	m.phase = phaseDeliver
-	at := s.mesh.Arrival(t.eng.Now(), m.Src, m.Dst, m.VNet(), m.Bytes(), t.st)
-	if !s.pdes || m.Dst == t.id {
-		t.eng.ScheduleRunnerAt(at, m)
-	} else {
-		t.outbox = append(t.outbox, outMsg{at: at, m: m})
-		// Self-cap the window this tile is running: any causal
-		// consequence of this send reaches this tile no sooner than
-		// the arrival plus the destination-to-here lookahead (a relay
-		// through a third tile is never faster — hop distances obey
-		// the triangle inequality). Events before that stay safe to
-		// run, so extended (beyond the round bound) windows cut
-		// themselves off exactly where the conservative contract
-		// requires.
-		t.eng.LimitTo(at + t.wRow[m.Dst])
-	}
+	at := s.mesh.Arrival(s.eng.Now(), m.Src, m.Dst, m.VNet(), m.Bytes(), s.st)
+	s.eng.ScheduleRunnerAt(at, m)
 }
 
 // deliver hands an arriving message to its destination controller.
@@ -515,26 +321,26 @@ func (t *tile) send(m *Msg) {
 // other message is dead once its handler returns and goes back to the
 // pool here.
 func (s *System) deliver(m *Msg) {
-	t := s.tiles[m.Dst]
-	if t.flight != nil {
-		t.flightMsg(flight.KindMsgDeliver, t.eng.Now(), m)
+	dst := m.Dst
+	if s.flight != nil {
+		s.flightMsg(flight.KindMsgDeliver, dst, m)
 	}
-	if t.rec != nil {
-		t.rec.Record(obs.Event{
-			Cycle: t.eng.Now(), Kind: obs.KindMsgDeliver, Sub: uint8(m.Type),
+	if s.rec != nil {
+		s.rec.Record(obs.Event{
+			Cycle: s.eng.Now(), Kind: obs.KindMsgDeliver, Sub: uint8(m.Type),
 			Node: int16(m.Src), Peer: int16(m.Dst),
 			Region: uint64(m.Region), Txn: m.TxnID,
 		})
 	}
 	switch m.Type {
 	case MsgGetS, MsgGetX, MsgUpgrade:
-		s.dirs[m.Dst].recvRequest(m)
+		s.dirs[dst].recvRequest(m)
 	case MsgAck, MsgAckS, MsgNack, MsgWback, MsgWbackLast, MsgUnblock:
-		s.dirs[m.Dst].recvResponse(m)
-		t.freeMsg(m)
+		s.dirs[dst].recvResponse(m)
+		s.freeMsg(dst, m)
 	default:
-		s.l1s[m.Dst].recv(m)
-		t.freeMsg(m)
+		s.l1s[dst].recv(m)
+		s.freeMsg(dst, m)
 	}
 }
 
@@ -546,9 +352,6 @@ func (s *System) Run() error {
 		return fmt.Errorf("core: system already ran")
 	}
 	s.ran = true
-	if s.pdes {
-		return s.runPDES()
-	}
 	for _, c := range s.cpus {
 		s.eng.ScheduleRunner(0, &c.stepEv)
 	}

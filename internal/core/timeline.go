@@ -34,7 +34,7 @@ type timelineEvent struct{ s *System }
 func (ev *timelineEvent) Run() { ev.s.sampleTimeline() }
 
 func (s *System) sampleTimeline() {
-	s.checkStalls(s.eng.Now())
+	s.checkStalls()
 	s.timeline = append(s.timeline, TimelineSample{
 		Cycle:    s.eng.Now(),
 		Accesses: s.st.Accesses,

@@ -38,23 +38,13 @@ type Runner interface{ Run() }
 // before running; every counter site in the hot path guards on a single
 // nil check, so an engine without a Prof pays one predictable branch —
 // the same contract as the internal/obs hooks. All fields are written
-// only by the goroutine running the engine; readers synchronize at the
-// PDES round barrier (or after Run), so plain integers suffice.
-//
-// The trailing pad pushes adjacent Profs in a slice onto separate cache
-// lines: under PDES each tile's engine bumps its own shard while other
-// workers bump theirs, and false sharing here would bill the
-// measurement to the thing being measured.
+// only by the goroutine running the engine; read them after Run.
 type Prof struct {
 	RingPushes uint64 // events filed into the near-future bucket ring
 	FarPushes  uint64 // events filed into the far-future (or legacy) heap
-	Refusals   uint64 // RunUntil stopped by the window bound with work still queued
-	LimitCuts  uint64 // LimitTo calls that actually tightened the running bound
 	MicroHigh  int    // deepest the zero-delay micro FIFO has been
 	RingHigh   int    // most unpopped events the bucket ring has held
 	FarHigh    int    // deepest the far-future heap has been
-
-	_ [64]byte // keep neighbouring shards off this cache line
 }
 
 // item is one queued event: either r (preferred) or fn is set.
@@ -102,19 +92,6 @@ type Engine struct {
 	// micro items then run in push (== seq) order among themselves.
 	micro     []item
 	microHead int
-
-	// limit is the bound of the RunUntil call currently executing, kept
-	// as a field so handlers can lower it mid-window (LimitTo) — the
-	// PDES window loop's dynamic cut-off for extended solo windows.
-	limit Cycle
-
-	// Cached earliest cycle queued in the underlying two-level queue
-	// (the micro FIFO is excluded: its items are always at `now`),
-	// maintained so the PDES window loop can take the minimum over many
-	// partitions without rescanning the bucket ring each time. Pops
-	// invalidate it; pushes keep it exact.
-	peekValid bool
-	peekMin   Cycle
 }
 
 // QueueEnvVar selects the queue implementation for New: set it to
@@ -153,9 +130,7 @@ func (e *Engine) push(it item) {
 	if it.at == e.now {
 		// Zero-delay fast path: the event is due this very cycle, so it
 		// never needs the two-level queue — it goes on the micro FIFO
-		// and runs after everything already queued for this cycle. The
-		// peekMin cache tracks the underlying queue only, so it is
-		// deliberately NOT updated here.
+		// and runs after everything already queued for this cycle.
 		e.micro = append(e.micro, it)
 		e.micros++
 		if e.prof != nil {
@@ -175,9 +150,6 @@ func (e *Engine) push(it item) {
 		} else {
 			e.bq.push(it)
 		}
-		if e.peekValid && it.at < e.peekMin {
-			e.peekMin = it.at
-		}
 	}
 	e.size++
 	if e.size > e.high {
@@ -194,14 +166,13 @@ func (e *Engine) nextAtNow() item {
 	var it item
 	var ok bool
 	if e.useHeap {
-		it, ok, _, _ = e.heap.popBefore(e.now + 1)
+		it, ok = e.heap.popBefore(e.now + 1)
 	} else {
-		it, ok, _, _ = e.bq.popBefore(e.now + 1)
+		it, ok = e.bq.popBefore(e.now + 1)
 	}
 	if !ok {
 		return e.popMicro()
 	}
-	e.peekValid = false
 	return it
 }
 
@@ -216,26 +187,6 @@ func (e *Engine) popMicro() item {
 		e.microHead = 0
 	}
 	return it
-}
-
-// peekUnderlying is PeekCycle restricted to the two-level queue,
-// excluding the micro FIFO; it maintains the same cache.
-func (e *Engine) peekUnderlying() (Cycle, bool) {
-	if e.peekValid {
-		return e.peekMin, true
-	}
-	var at Cycle
-	var ok bool
-	if e.useHeap {
-		at, ok = e.heap.peekAt()
-	} else {
-		at, ok = e.bq.peekAt()
-	}
-	if ok {
-		e.peekMin = at
-		e.peekValid = true
-	}
-	return at, ok
 }
 
 // Schedule runs fn delay cycles from now. Events scheduled for the
@@ -276,7 +227,7 @@ func (e *Engine) HighWater() int { return e.high }
 // counted — the increment shares the fast path's existing branch.
 func (e *Engine) MicroHits() uint64 { return e.micros }
 
-// SetProf attaches a queue-introspection shard: every hot-path counter
+// SetProf attaches a queue-introspection block: every hot-path counter
 // site guards on one nil check, so engines without a Prof pay a single
 // predictable branch per site. Pass nil to detach. Counters accumulate;
 // attach a zeroed Prof per run for per-run numbers.
@@ -285,7 +236,7 @@ func (e *Engine) SetProf(p *Prof) {
 	e.bq.prof = p
 }
 
-// Prof returns the attached introspection shard, or nil.
+// Prof returns the attached introspection block, or nil.
 func (e *Engine) Prof() *Prof { return e.prof }
 
 // Pending reports the number of queued events.
@@ -295,16 +246,6 @@ func (e *Engine) Pending() int {
 		return n + len(e.heap.items)
 	}
 	return n + e.bq.size
-}
-
-// PeekCycle reports the cycle of the earliest queued event without
-// popping it. The result is cached until the next pop, so repeated
-// peeks (the PDES window-minimum scan) cost one comparison.
-func (e *Engine) PeekCycle() (Cycle, bool) {
-	if e.microHead < len(e.micro) {
-		return e.now, true
-	}
-	return e.peekUnderlying()
 }
 
 // Step runs the next event; it reports false when the queue is empty.
@@ -320,7 +261,6 @@ func (e *Engine) Step() bool {
 		}
 		return true
 	}
-	e.peekValid = false
 	var it item
 	var ok bool
 	if e.useHeap {
@@ -342,88 +282,9 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// RunUntil runs every queued event with cycle < limit in (cycle, seq)
-// order, leaving later events queued; now ends at the last event run.
-// This is the PDES window body: events pushed while running (all at
-// cycles >= now) execute in the same call when they land before limit.
-//
-// The bound is kept in a field so an event handler can tighten it
-// mid-call with LimitTo — the window loop's dynamic cut-off when an
-// extended solo window parks a cross-tile message.
-func (e *Engine) RunUntil(limit Cycle) {
-	e.limit = limit
-	for {
-		if e.microHead < len(e.micro) {
-			if e.now >= e.limit {
-				return
-			}
-			it := e.nextAtNow()
-			e.events++
-			e.size--
-			if it.r != nil {
-				it.r.Run()
-			} else {
-				it.fn()
-			}
-			continue
-		}
-		var it item
-		var ok, hasNext bool
-		var next Cycle
-		if e.useHeap {
-			it, ok, next, hasNext = e.heap.popBefore(e.limit)
-		} else {
-			it, ok, next, hasNext = e.bq.popBefore(e.limit)
-		}
-		if !ok {
-			// The refusal already found the earliest remaining cycle;
-			// prime the peek cache with it so the window loop's
-			// post-round peek is O(1) instead of a rescan. push keeps
-			// the cache coherent if earlier events arrive afterwards.
-			if hasNext {
-				e.peekMin = next
-				e.peekValid = true
-				if e.prof != nil {
-					e.prof.Refusals++
-				}
-			}
-			return
-		}
-		// Invalidate lazily, only once something actually popped: a
-		// no-op RunUntil (idle partition) keeps its cached minimum so
-		// the window loop's peek stays O(1).
-		e.peekValid = false
-		e.now = it.at
-		e.events++
-		e.size--
-		if it.r != nil {
-			it.r.Run()
-		} else {
-			it.fn()
-		}
-	}
-}
-
-// LimitTo tightens the bound of the RunUntil call currently executing
-// on this engine: events at cycles >= c stay queued for a later window.
-// It never raises the bound, and never cuts below the cycle in
-// progress (events already due this cycle still run, keeping windows
-// cycle-complete). Callable only from inside an event handler.
-func (e *Engine) LimitTo(c Cycle) {
-	if c <= e.now {
-		c = e.now + 1
-	}
-	if c < e.limit {
-		e.limit = c
-		if e.prof != nil {
-			e.prof.LimitCuts++
-		}
-	}
-}
-
 // Recycle returns the bucketed queue's ring storage to a process-wide
 // pool once the engine has fully drained. The engine remains readable
-// (Now, Processed, Pending, HighWater, PeekCycle all stay valid) but
+// (Now, Processed, Pending and HighWater all stay valid) but
 // must not schedule further events. Recycle is a no-op on heap-backed
 // engines, on engines with events still queued, and on engines already
 // recycled — callers on error paths can skip it and lose nothing but

@@ -54,18 +54,11 @@ func (h *heapQueue) peekAt() (Cycle, bool) {
 }
 
 // popBefore pops the earliest item only when its cycle is below limit.
-// On refusal it reports the earliest queued cycle (hasNext false means
-// the queue is empty), so the caller can prime its peek cache without
-// a second scan.
-func (h *heapQueue) popBefore(limit Cycle) (it item, ok bool, next Cycle, hasNext bool) {
-	if len(h.items) == 0 {
-		return item{}, false, 0, false
+func (h *heapQueue) popBefore(limit Cycle) (item, bool) {
+	if len(h.items) == 0 || h.items[0].at >= limit {
+		return item{}, false
 	}
-	if at := h.items[0].at; at >= limit {
-		return item{}, false, at, true
-	}
-	it, _ = h.pop()
-	return it, true, 0, false
+	return h.pop()
 }
 
 func (h *heapQueue) siftUp(i int) {
@@ -100,7 +93,7 @@ func (h *heapQueue) siftDown(i int) {
 
 // bucketBits sizes the near-future window: 512 cycles comfortably
 // covers every latency the machine model schedules (memory is 300),
-// and the smaller ring keeps all 16 PDES tile rings cache-resident.
+// and the small ring stays cache-resident.
 const (
 	bucketBits = 9
 	numBuckets = 1 << bucketBits
@@ -125,17 +118,15 @@ type bucketQueue struct {
 	inWin   int           // unpopped items currently in buckets
 	far     heapQueue
 	size    int
-	prof    *Prof // queue-introspection shard (Engine.SetProf); nil when disabled
+	prof    *Prof // queue-introspection counters (Engine.SetProf); nil when disabled
 }
 
 // queueStorage is the poolable part of a bucketQueue: the ring itself
 // plus every per-bucket items slice its buckets have grown, plus the
 // occupancy bitmap. A fresh ring costs one 4096-bucket allocation up
 // front and then one lazy slice allocation per distinct active cycle —
-// the fixed per-engine overhead that made PDES (16 tile engines per
-// run) pay ~2.5x the sequential mode's allocations. Recycling the
-// storage across runs makes that a one-time cost per process instead
-// of per run.
+// a fixed per-engine overhead. Recycling the storage across runs makes
+// that a one-time cost per process instead of per run.
 type queueStorage struct {
 	buckets []bucket
 	occ     []uint64
@@ -298,43 +289,26 @@ func (q *bucketQueue) refill() {
 	}
 }
 
-// peekAt reports the earliest queued cycle without mutating the queue.
-func (q *bucketQueue) peekAt() (Cycle, bool) {
+// popBefore is pop restricted to cycles below limit. The cursor is NOT
+// advanced on refusal: later pushes may still land between the last
+// popped cycle and the refused one.
+func (q *bucketQueue) popBefore(limit Cycle) (item, bool) {
 	if q.size == 0 {
-		return 0, false
-	}
-	if q.inWin > 0 {
-		c, _ := q.nextOccupied(q.cursor)
-		return c, true
-	}
-	return q.far.peekAt()
-}
-
-// popBefore is pop restricted to cycles below limit. On refusal it
-// reports the earliest queued cycle (hasNext false means the queue is
-// empty), so the caller can prime its peek cache without a second
-// scan. The cursor is NOT advanced on refusal: later pushes may still
-// land between the last popped cycle and the refused one.
-func (q *bucketQueue) popBefore(limit Cycle) (it item, ok bool, next Cycle, hasNext bool) {
-	if q.size == 0 {
-		return item{}, false, 0, false
+		return item{}, false
 	}
 	for {
 		if q.inWin > 0 {
 			c, _ := q.nextOccupied(q.cursor)
 			if c >= limit {
 				// Every cycle below limit is drained; the rest can wait.
-				return item{}, false, c, true
+				return item{}, false
 			}
 			q.cursor = c
-			return q.takeAt(c), true, 0, false
+			return q.takeAt(c), true
 		}
 		at, farOK := q.far.peekAt()
-		if !farOK {
-			return item{}, false, 0, false
-		}
-		if at >= limit {
-			return item{}, false, at, true
+		if !farOK || at >= limit {
+			return item{}, false
 		}
 		q.start = at
 		q.cursor = at

@@ -256,53 +256,6 @@ func (t *Tracker) Fanout(region mem.RegionID, probes int) {
 	t.ProbeMsgs += uint64(probes)
 }
 
-// Merge folds another tracker's state into t — the PDES shard merge.
-// Every per-region input is a sum or bitmap union and classification
-// is recomputed lazily from the merged state, so folding shards in any
-// order reproduces exactly the state one shared tracker would hold.
-// Both trackers must have the same core count.
-func (t *Tracker) Merge(o *Tracker) {
-	if o.cores != t.cores {
-		panic(fmt.Sprintf("attrib: merging trackers with %d and %d cores", o.cores, t.cores))
-	}
-	for id, or := range o.regions {
-		r := t.state(id)
-		for i := range or.foot {
-			r.foot[i] = r.foot[i].Union(or.foot[i])
-		}
-		r.accesses += or.accesses
-		r.fetched += or.fetched
-		r.used += or.used
-		r.unused += or.unused
-		r.fills += or.fills
-		r.deaths += or.deaths
-		r.invals += or.invals
-		r.invWords += or.invWords
-		r.upgrades += or.upgrades
-		r.probes += or.probes
-		for c := range or.invByCore {
-			r.invByCore[c] += or.invByCore[c]
-		}
-		r.recallInvs += or.recallInvs
-		t.markDirty(r)
-	}
-	t.FetchedWords += o.FetchedWords
-	t.UsedWords += o.UsedWords
-	t.UnusedWords += o.UnusedWords
-	t.Fills += o.Fills
-	t.Deaths += o.Deaths
-	t.Invalidations += o.Invalidations
-	t.InvWordsLost += o.InvWordsLost
-	t.Upgrades += o.Upgrades
-	t.ProbeMsgs += o.ProbeMsgs
-	t.RecallInvalidations += o.RecallInvalidations
-	for c := 0; c < t.cores; c++ {
-		t.InvByOffender[c] += o.InvByOffender[c]
-		t.InvByVictim[c] += o.InvByVictim[c]
-		t.UpgradesByCore[c] += o.UpgradesByCore[c]
-	}
-}
-
 // falseShareAccessesPerChurn is the sustained-churn gate for the
 // false-shared label: more than one invalidation or upgrade per this
 // many accesses to the region. Steady ping-pong invalidates every few

@@ -60,8 +60,7 @@ type Dump struct {
 
 // Dump snapshots the tracker into a serializable form. Classification
 // state (patterns, dirty lists) is intentionally not captured: FromDump
-// rebuilds it deterministically from the footprints, exactly as the
-// PDES shard merge does.
+// rebuilds it deterministically from the footprints.
 func (t *Tracker) Dump() *Dump {
 	d := &Dump{
 		Cores:               t.cores,

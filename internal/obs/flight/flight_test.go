@@ -10,7 +10,7 @@ import (
 )
 
 func TestRingWrapDropsOldest(t *testing.T) {
-	r := newRing(4)
+	r := NewRecorder(4)
 	for c := 0; c < 7; c++ {
 		r.Record(Record{Cycle: 10 * 7, Region: uint64(c)})
 	}
@@ -20,7 +20,7 @@ func TestRingWrapDropsOldest(t *testing.T) {
 	if r.Dropped() != 3 {
 		t.Fatalf("dropped %d, want 3", r.Dropped())
 	}
-	snap := r.Snapshot()
+	snap := r.Records()
 	for i, rec := range snap {
 		if rec.Region != uint64(3+i) {
 			t.Fatalf("snapshot[%d].Region = %d, want %d (oldest-first after wrap)", i, rec.Region, 3+i)
@@ -31,42 +31,18 @@ func TestRingWrapDropsOldest(t *testing.T) {
 	}
 }
 
-// TestRecorderMergeStable pins the determinism contract: the merge is a
-// stable sort on cycle alone, so same-cycle records from different
-// rings keep ring (tile) order.
-func TestRecorderMergeStable(t *testing.T) {
-	r := NewRecorder(3, 300)
-	// Ring 2 records cycle 5 first in wall-clock terms, but ring order
-	// must win the tie.
-	r.Ring(2).Record(Record{Cycle: 5, Region: 21})
-	r.Ring(0).Record(Record{Cycle: 5, Region: 1})
-	r.Ring(0).Record(Record{Cycle: 7, Region: 2})
-	r.Ring(1).Record(Record{Cycle: 5, Region: 11})
-	merged := r.Records()
-	var got []uint64
-	for _, rec := range merged {
-		got = append(got, rec.Region)
-	}
-	// The stable sort keeps ring order among the cycle-5 records:
-	// 1 (ring0), 11 (ring1), 21 (ring2) — then the cycle-7 record.
-	want := []uint64{1, 11, 21, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged regions = %v, want %v", got, want)
-	}
-}
-
-func TestRecorderCapacitySplit(t *testing.T) {
-	r := NewRecorder(4, 8)
-	for i := 0; i < 4; i++ {
-		for c := 0; c < 5; c++ {
-			r.Ring(i).Record(Record{Cycle: 1})
+// TestRecorderDefaultCap: a capacity <= 0 selects DefaultCap, the size
+// EnableFlightRecorder(0) and the stall watchdog rely on.
+func TestRecorderDefaultCap(t *testing.T) {
+	for _, capacity := range []int{0, -5} {
+		r := NewRecorder(capacity)
+		for i := 0; i <= DefaultCap; i++ {
+			r.Record(Record{Cycle: 1})
 		}
-	}
-	if r.Len() != 8 {
-		t.Fatalf("total held %d, want 8 (capacity split 2 per ring)", r.Len())
-	}
-	if r.Dropped() != 12 {
-		t.Fatalf("dropped %d, want 12", r.Dropped())
+		if r.Len() != DefaultCap || r.Dropped() != 1 {
+			t.Errorf("NewRecorder(%d): holds %d, dropped %d; want %d and 1",
+				capacity, r.Len(), r.Dropped(), DefaultCap)
+		}
 	}
 }
 

@@ -16,9 +16,8 @@ import (
 // header's vocabularies make the file self-describing, so
 // protozoa-inspect needs no knowledge of the recording binary's enums.
 //
-// The header deliberately omits anything that varies with the execution
-// strategy (worker count, wall time): a log recorded at -workers 1 and
-// -workers 4 must be byte-identical.
+// The header deliberately omits anything that varies from run to run
+// (wall time, host): two recordings of the same run are byte-identical.
 
 // FormatName / FormatVersion identify the file format.
 const (
@@ -82,7 +81,10 @@ func WriteLog(w io.Writer, meta Meta, recs []Record) error {
 	return bw.Flush()
 }
 
-// ReadLog parses a flight log written by WriteLog.
+// ReadLog parses a flight log written by WriteLog. The header's record
+// count is checked against the records actually read, so a truncated
+// (or padded) log is an error; the count never sizes an allocation,
+// since nothing but the records themselves can back it.
 func ReadLog(r io.Reader) (Meta, []Record, error) {
 	var meta Meta
 	sc := bufio.NewScanner(r)
@@ -102,7 +104,10 @@ func ReadLog(r io.Reader) (Meta, []Record, error) {
 	if meta.Version != FormatVersion {
 		return meta, nil, fmt.Errorf("flight: unsupported version %d (want %d)", meta.Version, FormatVersion)
 	}
-	recs := make([]Record, 0, meta.Records)
+	if meta.Records < 0 {
+		return meta, nil, fmt.Errorf("flight: bad header: negative record count %d", meta.Records)
+	}
+	var recs []Record
 	line := 1
 	for sc.Scan() {
 		line++
@@ -126,6 +131,9 @@ func ReadLog(r io.Reader) (Meta, []Record, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return meta, nil, err
+	}
+	if len(recs) != meta.Records {
+		return meta, nil, fmt.Errorf("flight: header says %d records, log holds %d", meta.Records, len(recs))
 	}
 	return meta, recs, nil
 }

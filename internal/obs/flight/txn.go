@@ -1,6 +1,6 @@
 package flight
 
-// Transaction reconstruction: fold a merged record stream back into
+// Transaction reconstruction: fold a record stream back into
 // per-miss timelines with per-phase dwell times. The phase algebra is
 // the same as obs.LatencyBreakdown — stamps are overwritten as records
 // arrive (so an abandoned round's stamps fold away exactly like a

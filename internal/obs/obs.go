@@ -117,11 +117,6 @@ func (r *Recorder) Len() int {
 // Dropped reports how many events were overwritten by ring wrap.
 func (r *Recorder) Dropped() uint64 { return r.dropped }
 
-// AddDropped accounts drops that happened outside this recorder — the
-// PDES merge uses it to carry per-partition ring wraps into the merged
-// recorder's total.
-func (r *Recorder) AddDropped(n uint64) { r.dropped += n }
-
 // Snapshot returns the held events oldest-first in a fresh slice.
 func (r *Recorder) Snapshot() []Event {
 	if !r.wrapped {

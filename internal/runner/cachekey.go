@@ -16,9 +16,7 @@ import (
 // cell's content-addressed cache key.
 type CellSpec struct {
 	// Config is the resolved machine configuration — after defaults,
-	// core counts, and knobs have been applied. Workers is excluded
-	// from the hash: results are byte-identical at any worker count
-	// (the PR 6 contract), so all -workers settings share one entry.
+	// core counts, and knobs have been applied.
 	Config core.Config
 
 	// Workload names the trace source; Scale and Seed parameterize the
@@ -51,9 +49,7 @@ type CellSpec struct {
 // uncacheable and reports the error.
 func (s CellSpec) ConfigHash() (resultcache.Key, error) {
 	b := resultcache.NewBuilder()
-	hc := s.Config
-	hc.Workers = 0 // byte-identical at any worker count
-	if err := resultcache.AddStruct(b, "config", hc); err != nil {
+	if err := resultcache.AddStruct(b, "config", s.Config); err != nil {
 		return resultcache.Key{}, err
 	}
 	b.Field("workload", s.Workload)

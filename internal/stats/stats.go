@@ -140,9 +140,8 @@ type Stats struct {
 	// not of the simulated machine): the event queue's deepest
 	// occupancy and the count of events that rode the engine's
 	// zero-delay fast path. Both are deterministic for a given schedule
-	// — identical across worker counts >= 1 and across the two queue
-	// implementations — and are summed across PDES tile shards, like
-	// the high-water gauge. Set once at the end of Run.
+	// — identical across the two queue implementations. Set once at the
+	// end of Run.
 	EventQueueHighWater uint64
 	ZeroDelayHits       uint64
 
