@@ -172,9 +172,9 @@ bench-compare:
 # (median-of-3 at 1s) diffed against the latest committed BENCH_*.json
 # with a tolerance band. It exits non-zero when median throughput falls
 # more than BENCH_GATE_TOL percent below the baseline and writes no
-# snapshot — informational on PRs (the CI job is non-blocking, so noisy
-# runners can't flake tier-1), and a local pre-push check after
-# hot-path changes.
+# snapshot. CI runs it as a required job (the tolerance band absorbs
+# shared-runner noise); locally it is a pre-push check after hot-path
+# changes.
 BENCH_GATE_TOL ?= 15
 bench-gate:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \

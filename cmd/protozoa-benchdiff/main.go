@@ -7,7 +7,7 @@
 // snapshot. It is the in-repo fallback for benchstat: no external
 // tooling, no new dependencies, deterministic output.
 //
-//	go test -run '^$' -bench SimulatorThroughputParallel -benchmem \
+//	go test -run '^$' -bench SimulatorThroughputGate -benchmem \
 //	    -benchtime 2s -count 5 . | protozoa-benchdiff \
 //	    -baseline BENCH_7.json -out BENCH_8.json -change "..."
 //
@@ -303,8 +303,8 @@ func main() {
 	snapshot := map[string]any{
 		"change":    *change,
 		"cpu":       fmt.Sprintf("%s (GOMAXPROCS=%d)", cpuModel(), runtime.GOMAXPROCS(0)),
-		"benchmark": "BenchmarkSimulatorThroughputParallel",
-		"command":   "make bench-compare (go test -run '^$' -bench SimulatorThroughputParallel -benchmem -benchtime 2s -count 5 .)",
+		"benchmark": "BenchmarkSimulatorThroughputGate",
+		"command":   "make bench-compare (go test -run '^$' -bench SimulatorThroughputGate -benchmem -benchtime 2s -count 5 .)",
 		fmt.Sprintf("median_of_%d", counts[order[0]]): medians,
 	}
 	if *baseline != "" {

@@ -21,6 +21,7 @@ package attrib
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"protozoa/internal/mem"
@@ -79,12 +80,25 @@ func (p Pattern) String() string {
 	return fmt.Sprintf("Pattern(%d)", uint8(p))
 }
 
-// regionState is one region's accumulated attribution. The foot slice
-// packs per-core reader bitmaps at [c] and writer bitmaps at [cores+c]
-// so a region costs two allocations (struct + one slice).
+// Storage. A grid keeps every cell's tracker alive until it renders,
+// so the tracker's storage is laid out for the garbage collector: no
+// heap object per region, and nothing in the per-region storage that
+// the collector has to scan. A region is an int32 slot; slot s lives at
+// index s&chunkMask of chunk s>>chunkShift. Chunks are allocated whole
+// and never move, so growth costs a few allocations per chunk and never
+// copies region state the way doubling one flat slice would. The one
+// exception is a restored tracker's last chunk, which FromDump sizes to
+// the regions it restores.
+const (
+	chunkShift   = 8
+	chunkRegions = 1 << chunkShift // regions per chunk
+	chunkMask    = chunkRegions - 1
+)
+
+// regionState is one region's scalar attribution. Its per-core data
+// lives in the chunk's cells.
 type regionState struct {
-	id   mem.RegionID
-	foot []mem.Bitmap
+	id mem.RegionID
 
 	accesses              uint64 // CPU references (churn-rate denominator)
 	fetched, used, unused uint64 // words
@@ -93,12 +107,23 @@ type regionState struct {
 	invWords              uint64 // words those events took
 	upgrades              uint64
 	probes                uint64 // directory probe messages fanned out
-
-	invByCore  []uint32 // requester core behind each invalidation event
-	recallInvs uint32   // invalidations from L2 inclusion recalls (no core)
+	recallInvs            uint32 // invalidations from L2 inclusion recalls (no core)
 
 	pattern Pattern
 	dirty   bool // footprint or invals changed since last classify
+}
+
+// coreCell is one core's share of one region's attribution.
+type coreCell struct {
+	read, write mem.Bitmap // words the core read / wrote
+	invs        uint32     // invalidation events the core's requests caused
+}
+
+// chunk stores up to chunkRegions regions: their scalar state, and
+// cores cells per region, region i's at [i*cores, (i+1)*cores).
+type chunk struct {
+	states []regionState
+	cells  []coreCell
 }
 
 // Tracker accumulates attribution for one run. It is single-goroutine
@@ -108,16 +133,23 @@ type regionState struct {
 // The exported counter fields are hot-path-updated totals; treat them
 // as read-only outside this package.
 type Tracker struct {
-	cores   int
-	regions map[mem.RegionID]*regionState
+	cores  int
+	index  map[mem.RegionID]int32 // region -> slot
+	chunks []chunk
+	n      int32 // slots in use
 
-	// last memoizes the most recent region lookup: consecutive
-	// accesses hit the same region almost always.
-	last *regionState
+	// memo holds each core's most recent lookup (memo[cores] serves
+	// the calls that name no core). A core's consecutive calls often
+	// name one region (a fill follows its miss, an invalidation the
+	// block's death), but the cores' calls interleave, so a single
+	// shared memo would miss on almost every call.
+	memo []lookup
 
-	// dirtyList holds regions whose classification is stale; flushed
-	// lazily so the per-access cost stays a bitmap OR plus a flag.
-	dirtyList     []*regionState
+	// dirtyList holds slots whose classification is stale; flushed
+	// lazily so the per-access cost stays a bitmap OR plus a flag. Its
+	// capacity always covers every slot in use, so marking a tracked
+	// region dirty never allocates.
+	dirtyList     []int32
 	patternCounts [NumPatterns]uint64
 
 	// Run totals, in words unless noted.
@@ -142,7 +174,8 @@ type Tracker struct {
 func New(cores int) *Tracker {
 	return &Tracker{
 		cores:          cores,
-		regions:        make(map[mem.RegionID]*regionState),
+		index:          make(map[mem.RegionID]int32),
+		memo:           make([]lookup, cores+1),
 		InvByOffender:  make([]uint64, cores),
 		InvByVictim:    make([]uint64, cores),
 		UpgradesByCore: make([]uint64, cores),
@@ -153,36 +186,79 @@ func New(cores int) *Tracker {
 func (t *Tracker) Cores() int { return t.cores }
 
 // RegionCount reports how many distinct regions have attribution state.
-func (t *Tracker) RegionCount() int { return len(t.regions) }
+func (t *Tracker) RegionCount() int { return int(t.n) }
 
-func (t *Tracker) state(id mem.RegionID) *regionState {
-	if r := t.last; r != nil && r.id == id {
-		return r
-	}
-	r := t.regions[id]
-	if r == nil {
-		r = &regionState{
-			id:        id,
-			foot:      make([]mem.Bitmap, 2*t.cores),
-			invByCore: make([]uint32, t.cores),
-		}
-		t.add(r)
-	}
-	t.last = r
-	return r
+// at locates slot s: its chunk and its index within the chunk.
+func (t *Tracker) at(s int32) (*chunk, int) {
+	return &t.chunks[s>>chunkShift], int(s & chunkMask)
 }
 
-// add registers a new region, dirty so the next snapshot classifies it.
-func (t *Tracker) add(r *regionState) {
-	t.regions[r.id] = r
-	t.markDirty(r)
+// region returns slot s's state and per-core cells.
+func (t *Tracker) region(s int32) (*regionState, []coreCell) {
+	ch, i := t.at(s)
+	lo := i * t.cores
+	return &ch.states[i], ch.cells[lo : lo+t.cores : lo+t.cores]
+}
+
+// lookup is one memo entry: a region and its slot.
+type lookup struct {
+	id   mem.RegionID
+	slot int32
+	set  bool
+}
+
+// slot returns the region's slot, creating its state on first sight.
+// by picks the memo that serves the lookup: the calling core, or
+// t.cores when no core is behind the call.
+func (t *Tracker) slot(by int, id mem.RegionID) int32 {
+	m := &t.memo[by]
+	if m.set && m.id == id {
+		return m.slot
+	}
+	s, ok := t.index[id]
+	if !ok {
+		s = t.add(id)
+	}
+	*m = lookup{id, s, true}
+	return s
+}
+
+// add gives a new region the next slot, dirty so the next snapshot
+// classifies it.
+func (t *Tracker) add(id mem.RegionID) int32 {
+	s := t.n
+	if k := int(s >> chunkShift); k == len(t.chunks) {
+		t.chunks = append(t.chunks, t.newChunk())
+	} else if ch := &t.chunks[k]; int(s&chunkMask) == len(ch.states) {
+		// A restored tracker's short last chunk is full: complete it.
+		full := t.newChunk()
+		copy(full.states, ch.states)
+		copy(full.cells, ch.cells)
+		*ch = full
+	}
+	if cap(t.dirtyList) <= int(s) {
+		t.dirtyList = slices.Grow(t.dirtyList, int(s)+1-len(t.dirtyList))
+	}
+	t.n++
+	ch, i := t.at(s)
+	ch.states[i].id = id
+	t.index[id] = s
+	t.markDirty(s, &ch.states[i])
 	t.patternCounts[Untouched]++
+	return s
 }
 
-func (t *Tracker) markDirty(r *regionState) {
+func (t *Tracker) newChunk() chunk {
+	return chunk{
+		states: make([]regionState, chunkRegions),
+		cells:  make([]coreCell, chunkRegions*t.cores),
+	}
+}
+
+func (t *Tracker) markDirty(s int32, r *regionState) {
 	if !r.dirty {
 		r.dirty = true
-		t.dirtyList = append(t.dirtyList, r)
+		t.dirtyList = append(t.dirtyList, s)
 	}
 }
 
@@ -190,21 +266,30 @@ func (t *Tracker) markDirty(r *regionState) {
 // reading or writing. Called on L1 hits and misses alike — it tracks
 // the program's footprint, not the protocol's behaviour.
 func (t *Tracker) Access(core int, region mem.RegionID, w uint8, write bool) {
-	r := t.state(region)
+	s := t.slot(core, region)
+	ch, i := t.at(s)
+	r := &ch.states[i]
 	r.accesses++
-	idx := core
+	cell := &ch.cells[i*t.cores+core]
+	foot := &cell.read
 	if write {
-		idx += t.cores
+		foot = &cell.write
 	}
-	if !r.foot[idx].Has(w) {
-		r.foot[idx] = r.foot[idx].Set(w)
-		t.markDirty(r)
+	if !foot.Has(w) {
+		*foot = foot.Set(w)
+		t.markDirty(s, r)
 	}
+}
+
+// state returns the region's scalar state; by is as for slot.
+func (t *Tracker) state(by int, region mem.RegionID) *regionState {
+	ch, i := t.at(t.slot(by, region))
+	return &ch.states[i]
 }
 
 // Fill records a data fill of the given word count into core's L1.
 func (t *Tracker) Fill(core int, region mem.RegionID, words int) {
-	r := t.state(region)
+	r := t.state(core, region)
 	r.fetched += uint64(words)
 	r.fills++
 	t.FetchedWords += uint64(words)
@@ -214,7 +299,7 @@ func (t *Tracker) Fill(core int, region mem.RegionID, words int) {
 // Death records a block leaving an L1 (eviction, invalidation, or the
 // end-of-run residual flush): used of its total words were touched.
 func (t *Tracker) Death(core int, region mem.RegionID, used, total int) {
-	r := t.state(region)
+	r := t.state(core, region)
 	r.used += uint64(used)
 	r.unused += uint64(total - used)
 	r.deaths++
@@ -227,32 +312,34 @@ func (t *Tracker) Death(core int, region mem.RegionID, used, total int) {
 // on behalf of requester core offender (-1 when no core is behind it —
 // an L2 inclusion recall).
 func (t *Tracker) Invalidation(region mem.RegionID, offender, victim, wordsLost int) {
-	r := t.state(region)
+	s := t.slot(victim, region)
+	ch, i := t.at(s)
+	r := &ch.states[i]
 	r.invals++
 	r.invWords += uint64(wordsLost)
 	t.Invalidations++
 	t.InvWordsLost += uint64(wordsLost)
 	t.InvByVictim[victim]++
 	if offender >= 0 {
-		r.invByCore[offender]++
+		ch.cells[i*t.cores+offender].invs++
 		t.InvByOffender[offender]++
 	} else {
 		r.recallInvs++
 		t.RecallInvalidations++
 	}
-	t.markDirty(r)
+	t.markDirty(s, r)
 }
 
 // Upgrade records a write-to-Shared upgrade miss by core on the region.
 func (t *Tracker) Upgrade(core int, region mem.RegionID) {
-	t.state(region).upgrades++
+	t.state(core, region).upgrades++
 	t.Upgrades++
 	t.UpgradesByCore[core]++
 }
 
 // Fanout records the directory probing `probes` L1s for the region.
 func (t *Tracker) Fanout(region mem.RegionID, probes int) {
-	t.state(region).probes += uint64(probes)
+	t.state(t.cores, region).probes += uint64(probes)
 	t.ProbeMsgs += uint64(probes)
 }
 
@@ -265,14 +352,13 @@ func (t *Tracker) Fanout(region mem.RegionID, probes int) {
 const falseShareAccessesPerChurn = 64
 
 // classify derives the region's sharing pattern from its footprints.
-func (t *Tracker) classify(r *regionState) Pattern {
+func classify(r *regionState, cells []coreCell) Pattern {
 	touchers, writers := 0, 0
-	for c := 0; c < t.cores; c++ {
-		rd, wr := r.foot[c], r.foot[t.cores+c]
-		if rd|wr != 0 {
+	for _, c := range cells {
+		if c.read|c.write != 0 {
 			touchers++
 		}
-		if wr != 0 {
+		if c.write != 0 {
 			writers++
 		}
 	}
@@ -292,8 +378,8 @@ func (t *Tracker) classify(r *regionState) Pattern {
 	for w := uint8(0); w < mem.MaxRegionWords; w++ {
 		wTouch, wWrite := 0, 0
 		readerOnly := false
-		for c := 0; c < t.cores; c++ {
-			rd, wr := r.foot[c].Has(w), r.foot[t.cores+c].Has(w)
+		for _, c := range cells {
+			rd, wr := c.read.Has(w), c.write.Has(w)
 			if rd || wr {
 				wTouch++
 			}
@@ -334,8 +420,9 @@ func (t *Tracker) classify(r *regionState) Pattern {
 // flushDirty re-classifies every region whose inputs changed since the
 // last snapshot and maintains the per-pattern counts incrementally.
 func (t *Tracker) flushDirty() {
-	for _, r := range t.dirtyList {
-		if np := t.classify(r); np != r.pattern {
+	for _, s := range t.dirtyList {
+		r, cells := t.region(s)
+		if np := classify(r, cells); np != r.pattern {
 			t.patternCounts[r.pattern]--
 			t.patternCounts[np]++
 			r.pattern = np
@@ -362,11 +449,12 @@ func (t *Tracker) FalseSharedRegions() uint64 {
 // PatternOf reports a region's current classification (Untouched when
 // the region has no attribution state).
 func (t *Tracker) PatternOf(region mem.RegionID) Pattern {
-	r := t.regions[region]
-	if r == nil {
+	s, ok := t.index[region]
+	if !ok {
 		return Untouched
 	}
 	t.flushDirty()
+	r, _ := t.region(s)
 	return r.pattern
 }
 
@@ -398,7 +486,7 @@ type Summary struct {
 // Summarize rolls the tracker up.
 func (t *Tracker) Summarize() Summary {
 	return Summary{
-		Regions:             len(t.regions),
+		Regions:             int(t.n),
 		FetchedWords:        t.FetchedWords,
 		UsedWords:           t.UsedWords,
 		UnusedWords:         t.UnusedWords,
@@ -455,17 +543,15 @@ type RegionInfo struct {
 	Score uint64
 }
 
-func (t *Tracker) info(r *regionState) RegionInfo {
+func info(r *regionState, cells []coreCell) RegionInfo {
 	sharers := 0
-	for c := 0; c < t.cores; c++ {
-		if r.foot[c]|r.foot[t.cores+c] != 0 {
+	offender, best := -1, uint32(0)
+	for c, cell := range cells {
+		if cell.read|cell.write != 0 {
 			sharers++
 		}
-	}
-	offender, best := -1, uint32(0)
-	for c, n := range r.invByCore {
-		if n > best {
-			offender, best = c, n
+		if cell.invs > best {
+			offender, best = c, cell.invs
 		}
 	}
 	return RegionInfo{
@@ -484,9 +570,9 @@ func (t *Tracker) info(r *regionState) RegionInfo {
 // deterministic: score, then invalidations, then region id.
 func (t *Tracker) TopOffenders(n int) []RegionInfo {
 	t.flushDirty()
-	out := make([]RegionInfo, 0, len(t.regions))
-	for _, r := range t.regions {
-		out = append(out, t.info(r))
+	out := make([]RegionInfo, t.n)
+	for s := range out {
+		out[s] = info(t.region(int32(s)))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -515,7 +601,8 @@ func (t *Tracker) Reconcile() error {
 			t.FetchedWords, t.UsedWords, t.UnusedWords)
 	}
 	var fetched, used, unused, invals uint64
-	for _, r := range t.regions {
+	for s := int32(0); s < t.n; s++ {
+		r, _ := t.region(s)
 		if r.fetched != r.used+r.unused {
 			return fmt.Errorf("attrib: region %d: fetched %d words != used %d + unused %d",
 				r.id, r.fetched, r.used, r.unused)

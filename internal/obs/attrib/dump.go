@@ -64,7 +64,7 @@ type Dump struct {
 func (t *Tracker) Dump() *Dump {
 	d := &Dump{
 		Cores:               t.cores,
-		Regions:             make([]RegionDump, len(t.regions)),
+		Regions:             make([]RegionDump, t.n),
 		FetchedWords:        t.FetchedWords,
 		UsedWords:           t.UsedWords,
 		UnusedWords:         t.UnusedWords,
@@ -79,17 +79,24 @@ func (t *Tracker) Dump() *Dump {
 		InvByVictim:         append([]uint64(nil), t.InvByVictim...),
 		UpgradesByCore:      append([]uint64(nil), t.UpgradesByCore...),
 	}
-	regions := make([]*regionState, 0, len(t.regions))
-	for _, r := range t.regions {
-		regions = append(regions, r)
+	type idSlot struct {
+		id mem.RegionID
+		s  int32
 	}
-	slices.SortFunc(regions, func(a, b *regionState) int { return cmp.Compare(a.id, b.id) })
-	foot := make([]mem.Bitmap, 2*t.cores*len(regions)) // one backing array for every footprint
-	for i, r := range regions {
+	order := make([]idSlot, t.n)
+	for s := range order {
+		r, _ := t.region(int32(s))
+		order[s] = idSlot{r.id, int32(s)}
+	}
+	slices.SortFunc(order, func(a, b idSlot) int { return cmp.Compare(a.id, b.id) })
+	c := t.cores
+	foot := make([]mem.Bitmap, 2*c*len(order)) // one backing array for every footprint
+	for i, o := range order {
+		r, cells := t.region(o.s)
 		rd := &d.Regions[i]
 		*rd = RegionDump{
 			ID:         r.id,
-			Foot:       foot[:len(r.foot):len(r.foot)],
+			Foot:       foot[2*c*i : 2*c*(i+1) : 2*c*(i+1)],
 			Accesses:   r.accesses,
 			Fetched:    r.fetched,
 			Used:       r.used,
@@ -102,11 +109,13 @@ func (t *Tracker) Dump() *Dump {
 			Probes:     r.probes,
 			RecallInvs: r.recallInvs,
 		}
-		foot = foot[copy(rd.Foot, r.foot):]
-		for _, n := range r.invByCore {
-			if n != 0 {
-				rd.InvByCore = append([]uint32(nil), r.invByCore...)
-				break
+		for k, cell := range cells {
+			rd.Foot[k], rd.Foot[c+k] = cell.read, cell.write
+			if cell.invs != 0 {
+				if rd.InvByCore == nil { // every earlier core's count was zero
+					rd.InvByCore = make([]uint32, c)
+				}
+				rd.InvByCore[k] = cell.invs
 			}
 		}
 	}
@@ -162,39 +171,36 @@ func FromDump(d *Dump) (*Tracker, error) {
 	t.ProbeMsgs = d.ProbeMsgs
 	t.RecallInvalidations = d.RecallInvalidations
 
-	// The region count and sizes are validated, so every region's state
-	// comes out of three bulk allocations.
+	// The region count is validated, so the storage for exactly these
+	// regions comes out of two bulk allocations, cut into chunks the
+	// regions then fill in order. Sizing the last chunk to the regions
+	// left, instead of a whole chunk, keeps what a restore allocates in
+	// proportion to the dump, whatever its core count.
 	n, c := len(d.Regions), d.Cores
-	t.regions = make(map[mem.RegionID]*regionState, n)
-	t.dirtyList = make([]*regionState, 0, n)
-	states := make([]regionState, n)
-	foot := make([]mem.Bitmap, 2*c*n)
-	invByCore := make([]uint32, c*n)
+	t.index = make(map[mem.RegionID]int32, n)
+	t.dirtyList = make([]int32, 0, n)
+	states, cells := make([]regionState, n), make([]coreCell, n*c)
+	t.chunks = make([]chunk, 0, (n+chunkMask)>>chunkShift)
+	for lo := 0; lo < n; lo += chunkRegions {
+		hi := min(lo+chunkRegions, n)
+		t.chunks = append(t.chunks, chunk{states: states[lo:hi:hi], cells: cells[lo*c : hi*c : hi*c]})
+	}
 	for i := range d.Regions {
 		rd := &d.Regions[i]
-		if _, dup := t.regions[rd.ID]; dup {
+		if _, dup := t.index[rd.ID]; dup {
 			return nil, fmt.Errorf("attrib: region %d appears twice", rd.ID)
 		}
-		r := &states[i]
-		*r = regionState{
-			id:         rd.ID,
-			foot:       foot[2*c*i : 2*c*(i+1) : 2*c*(i+1)],
-			accesses:   rd.Accesses,
-			fetched:    rd.Fetched,
-			used:       rd.Used,
-			unused:     rd.Unused,
-			fills:      rd.Fills,
-			deaths:     rd.Deaths,
-			invals:     rd.Invals,
-			invWords:   rd.InvWords,
-			upgrades:   rd.Upgrades,
-			probes:     rd.Probes,
-			invByCore:  invByCore[c*i : c*(i+1) : c*(i+1)],
-			recallInvs: rd.RecallInvs,
+		r, rcells := t.region(t.add(rd.ID)) // dirty: classification is recomputed on the next snapshot
+		r.accesses, r.fetched, r.used, r.unused = rd.Accesses, rd.Fetched, rd.Used, rd.Unused
+		r.fills, r.deaths = rd.Fills, rd.Deaths
+		r.invals, r.invWords = rd.Invals, rd.InvWords
+		r.upgrades, r.probes, r.recallInvs = rd.Upgrades, rd.Probes, rd.RecallInvs
+		for k := range rcells {
+			rcells[k].read, rcells[k].write = rd.Foot[k], rd.Foot[c+k]
 		}
-		copy(r.foot, rd.Foot)
-		copy(r.invByCore, rd.InvByCore)
-		t.add(r) // dirty: classification is recomputed on the next snapshot
+		for k, v := range rd.InvByCore {
+			rcells[k].invs = v
+		}
 	}
 	return t, nil
 }

@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"protozoa/internal/mem"
 )
 
 // buildTracker populates a tracker with a mix of patterns: a private
@@ -213,5 +216,72 @@ func TestFromDumpValidates(t *testing.T) {
 	bad.Regions[1].ID = bad.Regions[0].ID
 	if _, err := FromDump(bad); err == nil || !strings.Contains(err.Error(), "appears twice") {
 		t.Fatalf("duplicate region: err = %v", err)
+	}
+}
+
+// TestFromDumpAllocatesInProportion pins that a restore allocates in
+// proportion to the dump: a one-region dump of a many-core machine must
+// not cost a whole chunk of per-core cells (chunkRegions*cores of them),
+// since the result cache decodes dumps from disk and bounds what a
+// payload of a given size may allocate.
+func TestFromDumpAllocatesInProportion(t *testing.T) {
+	const cores = 1024
+	tr := New(cores)
+	tr.Access(cores-1, 7, 3, true)
+	tr.Fill(cores-1, 7, 8)
+	tr.Death(cores-1, 7, 1, 8)
+	enc := encodeDump(t, tr.Dump())
+	var d Dump
+	if err := d.UnmarshalBinary(enc); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	restored, err := FromDump(&d)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(16*len(enc)+64<<10); got > bound {
+		t.Fatalf("restoring a %d-byte dump allocated %d bytes, bound %d", len(enc), got, bound)
+	}
+	if !bytes.Equal(encodeDump(t, restored.Dump()), enc) {
+		t.Fatal("restored tracker encodes differently from original")
+	}
+}
+
+// TestRestoredTrackerKeepsGrowing feeds a restored tracker — whose last
+// chunk FromDump sized to the regions it restored — past that chunk's
+// end, and requires it to end up identical to the original tracker fed
+// the same calls.
+func TestRestoredTrackerKeepsGrowing(t *testing.T) {
+	const cores = 4
+	feed := func(tr *Tracker, from, to mem.RegionID) {
+		for r := from; r < to; r++ {
+			c := int(r) % cores
+			tr.Access(c, r, uint8(r%mem.MaxRegionWords), r%3 == 0)
+			tr.Fill(c, r, 4)
+			tr.Death(c, r, 2, 4)
+			if r%5 == 0 {
+				tr.Invalidation(r, (c+1)%cores, c, 2)
+			}
+		}
+	}
+	orig := New(cores)
+	feed(orig, 0, chunkRegions+10) // a short second chunk once restored
+	restored, err := FromDump(orig.Dump())
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(orig, 5, 3*chunkRegions)
+	feed(restored, 5, 3*chunkRegions)
+	if a, b := encodeDump(t, orig.Dump()), encodeDump(t, restored.Dump()); !bytes.Equal(a, b) {
+		t.Fatal("restored tracker diverged from the original after growing")
+	}
+	if got, want := restored.Summarize(), orig.Summarize(); got != want {
+		t.Fatalf("Summarize mismatch:\n got %+v\nwant %+v", got, want)
+	}
+	if err := restored.Reconcile(); err != nil {
+		t.Fatal(err)
 	}
 }
